@@ -185,9 +185,9 @@ def run_cell_isolated(
 ) -> dict:
     """Run one cell in a fresh interpreter and parse its JSON result.
 
-    Isolation keeps cells honest: a prior cell's worker and engine
-    threads (threaded transport runs workers in-process) must not share
-    the interpreter with — and steal cycles from — the cell being timed.
+    Isolation keeps cells honest: a prior cell's worker threads
+    (threaded transport runs workers in-process) must not share the
+    interpreter with — and steal cycles from — the cell being timed.
     """
     proc = subprocess.run(
         [

@@ -180,13 +180,31 @@ class SQLiteStoreBackend(StoreBackend):
                 # other threads opened.
                 check_same_thread=False,
             )
-            conn.execute("PRAGMA journal_mode=WAL")
+            self._enable_wal(conn)
             conn.execute("PRAGMA synchronous=NORMAL")
             self._local.conn = conn
             self._local.pid = os.getpid()
             with self._conns_lock:
                 self._conns[conn] = os.getpid()
         return conn
+
+    def _enable_wal(self, conn: sqlite3.Connection) -> None:
+        """Switch ``conn``'s database to WAL, waiting out concurrent openers.
+
+        SQLite answers a contended journal-mode change with "database is
+        locked" at once instead of through the busy handler, so two
+        threads or processes creating the same database race here; retry
+        within the same ``busy_timeout`` every other statement gets.
+        """
+        deadline = time.monotonic() + self._busy_timeout
+        while True:
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() >= deadline:
+                    raise
+                time.sleep(0.01)
 
     @contextmanager
     def _txn(self) -> Iterator[sqlite3.Connection]:

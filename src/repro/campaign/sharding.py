@@ -37,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import uuid
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -104,9 +105,14 @@ def ensure_manifest(directory, engine: str, n_shards: Optional[int] = None) -> d
 
 
 def _write_manifest_file(path: Path, manifest: dict) -> None:
-    """Atomically create the manifest (concurrent creators converge)."""
+    """Atomically create the manifest (concurrent creators converge).
+
+    The temp name is unique per *writer*, not per process: two threads of
+    one process sharing a name would interleave writes into one temp file
+    and the loser's ``os.replace`` would find it already moved.
+    """
     payload = json.dumps(manifest, sort_keys=True) + "\n"
-    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
+    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}.{uuid.uuid4().hex}")
     tmp.write_text(payload)
     os.replace(tmp, path)
 

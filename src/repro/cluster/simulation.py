@@ -97,8 +97,11 @@ class SimulatedMWPool(SamplingPool):
         file_cost = self.fileio.round_trip(self.task_bytes, self.result_bytes)
         return n_active * per_vertex + file_cost
 
-    def advance(self, dt: float, targets=None) -> float:
-        now = super().advance(dt, targets=targets)
+    def advance_rounds(self, dt: float, targets=None):
+        """Sample like :class:`SamplingPool`, then charge the cycle's
+        communication overhead (synchronous :meth:`advance` and the
+        ask/tell engine both drive this)."""
+        now = yield from super().advance_rounds(dt, targets=targets)
         overhead = self._cycle_overhead(len(self.active))
         self.n_dispatch_cycles += 1
         self.comm_overhead += overhead

@@ -282,9 +282,9 @@ class AsyncEvalDriver:
                         f"for {len(items)} proposals"
                     )
             # Group the frame's results by source so each optimizer takes
-            # one batched tell (one lock acquisition) instead of one per
-            # proposal — the master-side half of what makes --eval-batch
-            # amortize.  Item order within a source is preserved.
+            # one batched tell (at most one step resumption) instead of
+            # one per proposal — the master-side half of what makes
+            # --eval-batch amortize.  Item order within a source is preserved.
             grouped: Dict[int, tuple] = {}
             for (src, proposal), value in zip(items, values):
                 entry = grouped.get(id(src))

@@ -7,28 +7,37 @@ gates.  The optimizers never see the underlying deterministic surface — all
 decisions go through noisy :class:`~repro.noise.evaluation.VertexEvaluation`
 estimates, exactly as the paper's master only sees what workers report.
 
+Step code as generators
+-----------------------
+Every piece of step code that samples (``_decide_step`` and everything it
+calls down to :meth:`SamplingPool.activate_rounds
+<repro.noise.stochastic.SamplingPool.activate_rounds>` /
+:meth:`~repro.noise.stochastic.SamplingPool.advance_rounds`) is a generator
+that yields one ``(evs, dt)`` *round* per sampling request and resumes with
+the round's answer.  There is exactly one step loop, :meth:`_loop`; how the
+rounds are answered is the only difference between the entry points:
+
+* :meth:`run` / :meth:`_run_inline` answer every round locally (the pool
+  samples through its batched kernel);
+* the ask/tell seam publishes each round as :class:`Proposal` objects.
+
 Ask/tell seam
 -------------
-Every optimizer also exposes the evaluation traffic itself: :meth:`ask`
-returns pending :class:`Proposal` objects (stable ids, theta, requested
-sampling time) and :meth:`tell` feeds the deterministic surface values back
-— in any order.  Under the hood the sequential step loop
-(:meth:`_run_inline`, unchanged algorithm code) runs on a private engine
-thread whose :class:`~repro.noise.stochastic.SamplingPool` sampling requests
-are published as proposal *rounds*; the noise model is applied master-side
-at merge time, in pool order, once a round completes
-(:meth:`~repro.noise.stochastic.StochasticFunction.merge_external`), so the
-trajectory is bitwise identical to the legacy blocking path no matter how
-tells interleave.  :meth:`run` is re-expressed as ``ask → evaluate → tell``
-on top of this seam; the asynchronous campaign driver
+:meth:`ask` returns pending proposals (stable ids, theta, requested sampling
+time) and :meth:`tell` feeds the deterministic surface values back — in any
+order.  When a round's last value is told, the step loop resumes on the
+caller's thread and runs until it needs the next round (or finishes); no
+thread, lock or condition variable is involved.  The noise model is applied
+master-side at merge time, in pool order, once a round completes
+(:meth:`~repro.noise.stochastic.StochasticFunction.merge_external_batch`),
+so the trajectory is bitwise identical to :meth:`run` no matter how tells
+interleave.  The asynchronous campaign driver
 (:mod:`repro.core.async_driver`) drives many optimizers' seams through one
 MW worker pool with no per-iteration barrier.
 """
 
 from __future__ import annotations
 
-import math
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -40,7 +49,7 @@ from repro.core.simplex import Simplex
 from repro.core.state import OptimizationResult, StepRecord, Trace
 from repro.core.termination import TerminationCriterion, default_termination
 from repro.noise.evaluation import VertexEvaluation
-from repro.noise.stochastic import SamplingPool, StochasticFunction
+from repro.noise.stochastic import SamplingPool, StochasticFunction, sample_locally
 
 
 class _StopOptimization(Exception):
@@ -77,122 +86,107 @@ class Proposal:
 class _RoundSlot:
     """Mutable state of one outstanding proposal (engine-internal)."""
 
-    __slots__ = ("id", "ev", "dt", "value", "told")
+    __slots__ = ("id", "ev", "dt", "value")
 
     def __init__(self, proposal_id: str, ev: VertexEvaluation, dt: float) -> None:
         self.id = proposal_id
         self.ev = ev
-        self.dt = float(dt)
+        self.dt = dt
         self.value: Optional[float] = None
-        self.told = False
 
 
 class _AskTellEngine:
-    """Control inversion for :class:`SimplexOptimizer`'s sequential step loop.
+    """Drives :meth:`SimplexOptimizer._loop` through proposal rounds.
 
-    The optimizer's unchanged :meth:`SimplexOptimizer._run_inline` loop runs
-    on a daemon thread; the pool's ``sample_hook`` publishes each sampling
-    request as a *round* of :class:`Proposal` objects and blocks until every
-    one has been told.  Determinism contract: values are merged (and noise
-    drawn) in pool order only after the whole round is told, so the
-    trajectory does not depend on tell order — and with no speculative
-    refinements it is bitwise identical to the legacy blocking run.
+    Between calls the step generator is always either finished or
+    suspended at a round with at least one untold proposal.  The tell that
+    resolves a round's last proposal resumes the generator on the caller's
+    thread: told refinements are merged, then the round's values (in pool
+    order, whatever the tell order), and the step runs to the next round.
+    Determinism contract: with no speculative refinements the trajectory is
+    bitwise identical to :meth:`SimplexOptimizer.run`.  Nothing is locked:
+    one optimizer's ask/tell calls must come from one thread at a time (the
+    asynchronous driver makes them all from its scheduling loop).
 
     Speculative refinements (minted by ``ask(n)`` when the round alone
     cannot fill ``n`` slots) add extra sampling blocks to still-active
-    vertices; they are merged at the next round boundary on the engine
-    thread and never advance the virtual clock — idle MW workers keep
-    sampling, exactly the paper's deployment model.  Tells for vertices
-    that were discarded in the meantime are rejected as stale and counted.
+    vertices; they are merged at the next round boundary and never advance
+    the virtual clock — idle MW workers keep sampling, exactly the paper's
+    deployment model.  Tells for vertices that were discarded in the
+    meantime are rejected as stale and counted.
     """
-
-    _RUNNING = "running"  # engine thread is computing between rounds
-    _BLOCKED = "blocked"  # engine thread waits for the current round's tells
-    _DONE = "done"        # result (or error) is available
 
     def __init__(self, optimizer: "SimplexOptimizer") -> None:
         self._opt = optimizer
-        self._lock = threading.Lock()
-        self._step_wake = threading.Condition(self._lock)
-        self._caller_wake = threading.Condition(self._lock)
-        self._state = self._RUNNING
+        self._steps = optimizer._loop()
         self._round: Dict[str, _RoundSlot] = {}
+        self._untold = 0
         self._extras: Dict[str, _RoundSlot] = {}
         self._told_extras: List[_RoundSlot] = []
         self._fresh: List[Proposal] = []
         self._resolved: set = set()
         self._counter = 0
+        self._done = False
         self._result: Optional[OptimizationResult] = None
         self._error: Optional[BaseException] = None
-        self._abort = False
-        self._abort_reason = "closed"
         self.n_stale_tells = 0
         self.n_duplicate_tells = 0
-        pool = optimizer.pool
-        self._hooked = hasattr(pool, "sample_hook")
-        if self._hooked:
-            pool.sample_hook = self._sample_round
-        self._thread = threading.Thread(
-            target=self._main, name=f"asktell-{optimizer.name}", daemon=True
-        )
-        self._thread.start()
+        self._resume(None)
 
-    # -- engine thread -----------------------------------------------------
+    # -- driving the step generator ---------------------------------------
 
-    def _main(self) -> None:
+    def _resume(
+        self,
+        values: Optional[List[float]],
+        stop: Optional[BaseException] = None,
+    ) -> None:
+        """Send a round's values (or throw ``stop``) and run to the next round."""
         try:
-            result = self._opt._run_inline()
-            with self._lock:
-                self._result = result
-        except BaseException as exc:  # noqa: BLE001 - surfaced to callers
-            with self._lock:
-                self._error = exc
-        finally:
-            with self._lock:
-                if self._hooked:
-                    self._opt.pool.sample_hook = None
-                self._state = self._DONE
-                self._caller_wake.notify_all()
-
-    def _sample_round(self, evs: List[VertexEvaluation], dt: float) -> List[float]:
-        """Pool hook: publish one proposal round, block until fully told."""
-        with self._lock:
-            self._merge_told_extras_locked()
-            if self._abort:
-                raise _StopOptimization(self._abort_reason)
-            slots = []
-            for ev in evs:
-                proposal_id = self._mint_locked()
-                slot = _RoundSlot(proposal_id, ev, dt)
-                self._round[proposal_id] = slot
-                self._fresh.append(
-                    Proposal(
-                        id=proposal_id,
-                        theta=np.array(ev.theta, copy=True),
-                        label=ev.label,
-                        dt=float(dt),
-                    )
+            if stop is None:
+                evs, dt = self._steps.send(values)
+            else:
+                evs, dt = self._steps.throw(stop)
+        except StopIteration as finished:
+            self._finish(result=finished.value)
+            return
+        except BaseException as exc:  # noqa: BLE001 - surfaced by ask()/result()
+            self._finish(error=exc)
+            if not isinstance(exc, Exception):
+                raise
+            return
+        dt = float(dt)
+        for ev in evs:
+            proposal_id = self._mint()
+            self._round[proposal_id] = _RoundSlot(proposal_id, ev, dt)
+            self._fresh.append(
+                Proposal(
+                    id=proposal_id,
+                    theta=np.array(ev.theta, copy=True),
+                    label=ev.label,
+                    dt=dt,
                 )
-                slots.append(slot)
-            self._state = self._BLOCKED
-            self._caller_wake.notify_all()
-            while not all(s.told for s in slots):
-                if self._abort:
-                    self._state = self._RUNNING
-                    raise _StopOptimization(self._abort_reason)
-                self._step_wake.wait()
-            self._state = self._RUNNING
-            for slot in slots:
-                del self._round[slot.id]
-            self._merge_told_extras_locked()
-            return [s.value for s in slots]
+            )
+        self._untold = len(evs)
 
-    def _merge_told_extras_locked(self) -> None:
-        """Fold accepted refinement values in (engine thread, lock held).
+    def _finish(self, result=None, error=None) -> None:
+        self._done = True
+        self._result = result
+        self._error = error
+        self._fresh = []
 
-        Applied only at round boundaries so refinement merges never race
-        the step computation; within a batch they apply in mint order so a
-        fixed set of arrivals yields one deterministic stream.
+    def _complete_round(self) -> None:
+        """Every slot of the round is told: merge and run the next step."""
+        values = [slot.value for slot in self._round.values()]
+        self._round = {}
+        self._merge_told_extras()
+        self._resume(values)
+
+    def _merge_told_extras(self) -> None:
+        """Fold accepted refinement values in, at a round boundary.
+
+        Applied only between steps so refinement merges never interleave
+        with a step's computation; within a batch they apply in mint order
+        so a fixed set of arrivals yields one deterministic stream.
         """
         if not self._told_extras:
             return
@@ -204,38 +198,26 @@ class _AskTellEngine:
             else:
                 self.n_stale_tells += 1
 
-    def _mint_locked(self) -> str:
+    def _mint(self) -> str:
         self._counter += 1
         return f"p{self._counter:06d}"
-
-    def _raise_error_locked(self) -> None:
-        if self._error is not None:
-            raise self._error
 
     # -- caller side -------------------------------------------------------
 
     def ask(self, max_proposals: Optional[int] = None) -> List[Proposal]:
-        """Pending proposals; blocks only while the engine computes a step."""
-        with self._lock:
-            while True:
-                self._raise_error_locked()
-                if self._fresh or self._state == self._DONE:
-                    break
-                if self._state == self._BLOCKED and any(
-                    not slot.told for slot in self._round.values()
-                ):
-                    break  # the caller holds the outstanding round; nothing new yet
-                self._caller_wake.wait()
-            if max_proposals is None:
-                out, self._fresh = self._fresh, []
-            else:
-                out = self._fresh[:max_proposals]
-                del self._fresh[: len(out)]
-                if self._state == self._BLOCKED and len(out) < max_proposals:
-                    out.extend(self._mint_refinements_locked(max_proposals - len(out)))
+        """Pending proposals of the current round (never blocks)."""
+        if self._error is not None:
+            raise self._error
+        if max_proposals is None:
+            out, self._fresh = self._fresh, []
             return out
+        out = self._fresh[:max_proposals]
+        del self._fresh[: len(out)]
+        if not self._done and len(out) < max_proposals:
+            out.extend(self._mint_refinements(max_proposals - len(out)))
+        return out
 
-    def _mint_refinements_locked(self, n: int) -> List[Proposal]:
+    def _mint_refinements(self, n: int) -> List[Proposal]:
         """Speculative refinement proposals: keep idle workers sampling.
 
         At most one outstanding refinement per active vertex, most
@@ -251,49 +233,53 @@ class _AskTellEngine:
         candidates.sort(key=lambda ev: -ev.sem)
         out = []
         for ev in candidates[:n]:
-            proposal_id = self._mint_locked()
-            slot = _RoundSlot(proposal_id, ev, pool.warmup)
+            proposal_id = self._mint()
+            slot = _RoundSlot(proposal_id, ev, float(pool.warmup))
             self._extras[proposal_id] = slot
             out.append(
                 Proposal(
                     id=proposal_id,
                     theta=np.array(ev.theta, copy=True),
                     label=f"refine:{ev.label}",
-                    dt=float(pool.warmup),
+                    dt=slot.dt,
                 )
             )
         return out
 
     def tell(self, proposal_id: str, value: float) -> str:
         """Resolve one proposal; returns a ``TELL_*`` status string."""
-        with self._lock:
-            status = self._tell_locked(proposal_id, value)
-            if status is None:
-                raise KeyError(f"unknown proposal id {proposal_id!r}")
-            return status
+        status = self._tell(proposal_id, value)
+        if status is None:
+            raise KeyError(f"unknown proposal id {proposal_id!r}")
+        if status == TELL_APPLIED and not self._untold:
+            self._complete_round()
+        return status
 
     def tell_many(self, items) -> List[str]:
-        """Resolve a batch of ``(proposal_id, value)`` pairs under one lock.
+        """Resolve a batch of ``(proposal_id, value)`` pairs.
 
-        The batched-evaluation fan-in: a frame of ``q`` results costs one
-        lock acquisition and one engine wake-up instead of ``q`` of each,
-        which is what keeps the master's per-evaluation cost flat as
-        ``--eval-batch`` grows.  Statuses come back in item order with the
-        same semantics as :meth:`tell`, except unknown ids map to
+        The batched-evaluation fan-in: every value of a frame is applied
+        before the step loop resumes, so a frame of ``q`` results costs at
+        most one step resumption.  Statuses come back in item order with
+        the same semantics as :meth:`tell`, except unknown ids map to
         :data:`TELL_STALE` instead of raising — a batch fan-in cannot
         abandon the rest of the frame over one retired id (engine-side
         stale counters are untouched for those, matching the driver's
         ``KeyError`` handling for single tells).
         """
         statuses = []
-        with self._lock:
-            for proposal_id, value in items:
-                status = self._tell_locked(proposal_id, value)
-                statuses.append(TELL_STALE if status is None else status)
+        completed = False
+        for proposal_id, value in items:
+            status = self._tell(proposal_id, value)
+            if status == TELL_APPLIED and not self._untold:
+                completed = True
+            statuses.append(TELL_STALE if status is None else status)
+        if completed:
+            self._complete_round()
         return statuses
 
-    def _tell_locked(self, proposal_id: str, value: float) -> Optional[str]:
-        """One tell, lock held; ``None`` flags an unknown proposal id."""
+    def _tell(self, proposal_id: str, value: float) -> Optional[str]:
+        """Record one tell; ``None`` flags an unknown proposal id."""
         if proposal_id in self._resolved:
             self.n_duplicate_tells += 1
             return TELL_DUPLICATE
@@ -302,48 +288,49 @@ class _AskTellEngine:
         if slot is None and extra is None:
             return None
         self._resolved.add(proposal_id)
-        if self._state == self._DONE or self._abort:
+        if self._done:
             self.n_stale_tells += 1
             return TELL_STALE
         if slot is not None:
             slot.value = float(value)
-            slot.told = True
-            self._step_wake.notify_all()
+            self._untold -= 1
             return TELL_APPLIED
         del self._extras[proposal_id]
         extra.value = float(value)
-        extra.told = True
         self._told_extras.append(extra)
         return TELL_EXTRA
 
     @property
     def finished(self) -> bool:
         """True once the step loop has produced a result (or an error)."""
-        with self._lock:
-            return self._state == self._DONE
+        return self._done
 
     def result(self) -> OptimizationResult:
-        """Block until the run completes; re-raises engine-side errors."""
-        with self._lock:
-            while self._state != self._DONE:
-                self._caller_wake.wait()
-            self._raise_error_locked()
-            return self._result
+        """The run's result; re-raises step-loop errors.
+
+        Raises ``RuntimeError`` while a round is still outstanding — the
+        result only exists once every proposal of the run has been told
+        (or :meth:`close` was called).
+        """
+        if not self._done:
+            raise RuntimeError(
+                f"ask/tell run of {self._opt.name} is not finished: "
+                f"{self._untold} proposal(s) of the current round are untold "
+                "(tell them, or close() the run)"
+            )
+        if self._error is not None:
+            raise self._error
+        return self._result
 
     def close(self, reason: str = "closed") -> None:
-        """Abort the step loop at its next sampling request; idempotent.
+        """Abort the step loop at its outstanding round; idempotent.
 
-        The engine finishes with a normal :class:`OptimizationResult`
+        The run finishes at once with a normal :class:`OptimizationResult`
         whose ``reason`` is the given string (the same path a mid-step
         termination takes); unresolved proposals become stale.
         """
-        with self._lock:
-            if self._state == self._DONE:
-                return
-            self._abort = True
-            self._abort_reason = reason
-            self._step_wake.notify_all()
-        self._thread.join(timeout=10.0)
+        while not self._done:
+            self._resume(None, stop=_StopOptimization(reason))
 
 
 class SimplexOptimizer:
@@ -369,6 +356,10 @@ class SimplexOptimizer:
     pool:
         Evaluation pool; a fresh :class:`SamplingPool` is built if omitted.
         Anything with the same interface works (e.g. the MW-backed pool).
+        Pools with the generator form (``activate_rounds`` /
+        ``advance_rounds``) have their sampling published through the
+        ask/tell seam; pools without it are sampled synchronously at the
+        same points, so their runs complete without proposals.
     record_trace:
         Keep per-step records for the analysis layer.
     """
@@ -404,6 +395,7 @@ class SimplexOptimizer:
         if pool is None:
             pool = SamplingPool(func, warmup=warmup, concurrent=self.concurrent_sampling)
         self.pool = pool
+        self._pool_rounds = hasattr(pool, "advance_rounds")
         self._t0 = pool.now
         vertices = np.asarray(initial_vertices, dtype=float)
         if vertices.ndim != 2:
@@ -434,42 +426,46 @@ class SimplexOptimizer:
     def run(self) -> OptimizationResult:
         """Iterate simplex steps until a termination criterion fires.
 
-        Re-expressed over the ask/tell seam: the step loop runs on the
-        engine thread while this caller plays the worker pool, computing
-        ``f(theta)`` for every proposal and telling the value straight
-        back.  The parity suite (``tests/test_core_asktell.py``) asserts
-        this is trajectory-identical to the sequential reference loop
-        :meth:`_run_inline` for every algorithm.
+        Runs the step loop on the caller's thread, sampling every round
+        locally (:meth:`_run_inline`).  If an ask/tell run is already under
+        way, it is finished instead: each outstanding round is evaluated
+        on the surface and told back.  The golden-digest suite
+        (``tests/test_core_golden.py``) pins both paths, and every ask/tell
+        drive, to the same bitwise trajectory.
         """
-        engine = self._engine()
+        engine = self._asktell
+        if engine is None:
+            return self._run_inline()
         try:
             while True:
                 proposals = engine.ask()
                 if not proposals:
                     break
-                for proposal in proposals:
-                    engine.tell(
-                        proposal.id, float(self.func.f(np.asarray(proposal.theta)))
-                    )
+                engine.tell_many(
+                    [(p.id, float(self.func.f(p.theta))) for p in proposals]
+                )
         except BaseException:
             engine.close(reason="error")
             raise
         return engine.result()
 
     def _run_inline(self) -> OptimizationResult:
-        """The sequential reference loop (runs on the ask/tell engine thread).
+        """The step loop with every sampling round answered locally."""
+        return sample_locally(self._loop())
 
-        This is the pre-seam ``run()`` body, byte for byte: the parity
-        suite drives it directly (no engine, pool sampling stays local) as
-        the ground truth the ask/tell re-expression must reproduce.
+    def _loop(self):
+        """The step loop as a round generator; returns the result.
+
+        Yields one ``(evs, dt)`` round per pool sampling request (see
+        :meth:`SamplingPool.advance_rounds
+        <repro.noise.stochastic.SamplingPool.advance_rounds>`).
         """
         reason = self.termination.check(self)
         while reason is None:
             self._step_wait = 0.0
             self._step_resamples = 0
-            t_before = self.pool.now
             try:
-                operation = self._decide_step()
+                operation = yield from self._decide_step()
             except _StopOptimization as stop:
                 reason = stop.reason
                 break
@@ -489,7 +485,6 @@ class SimplexOptimizer:
                         resample_rounds=self._step_resamples,
                     )
                 )
-            del t_before
             reason = self.termination.check(self)
         return self._result(reason)
 
@@ -512,7 +507,7 @@ class SimplexOptimizer:
     # -- ask/tell interface ------------------------------------------------------
 
     def _engine(self) -> _AskTellEngine:
-        """The lazily started ask/tell engine for this run."""
+        """The lazily started ask/tell engine (runs to its first round)."""
         if self._asktell is None:
             self._asktell = _AskTellEngine(self)
         return self._asktell
@@ -521,8 +516,8 @@ class SimplexOptimizer:
         """Pending evaluation :class:`Proposal` objects (stable, unique ids).
 
         With ``max_proposals=None`` returns exactly the proposals the step
-        loop is blocked on (one *round*; empty once the run has finished or
-        while the caller already holds the round).  With an integer, also
+        loop is suspended on (one *round*; empty once the run has finished
+        or while the caller already holds the round).  With an integer, also
         tops the batch up with speculative refinement proposals on active
         vertices — how an asynchronous driver keeps ``max_inflight``
         evaluations in flight when a round alone is too small.  Note the
@@ -546,9 +541,9 @@ class SimplexOptimizer:
     def tell_many(self, items) -> List[str]:
         """Feed back a frame of ``(proposal_id, value)`` pairs at once.
 
-        One lock acquisition and one engine wake-up for the whole batch —
-        the fan-in half of ``--eval-batch``.  Statuses come back in item
-        order; unknown ids map to :data:`TELL_STALE` instead of raising.
+        At most one step resumption for the whole batch — the fan-in half
+        of ``--eval-batch``.  Statuses come back in item order; unknown ids
+        map to :data:`TELL_STALE` instead of raising.
         """
         return self._engine().tell_many(items)
 
@@ -558,11 +553,15 @@ class SimplexOptimizer:
         return self._asktell is not None and self._asktell.finished
 
     def result(self) -> OptimizationResult:
-        """The finished run's result (blocks on in-flight step computation)."""
+        """The finished ask/tell run's result.
+
+        Raises ``RuntimeError`` while a round is outstanding (never waits).
+        """
         return self._engine().result()
 
     def close(self, reason: str = "closed") -> None:
-        """Stop an ask/tell run early; outstanding proposals become stale."""
+        """Stop an ask/tell run early (returns at once); outstanding
+        proposals become stale."""
         if self._asktell is not None:
             self._asktell.close(reason=reason)
 
@@ -578,8 +577,8 @@ class SimplexOptimizer:
 
     # -- the algorithm-specific part ---------------------------------------------
 
-    def _decide_step(self) -> str:
-        """Perform one simplex iteration; return the operation name."""
+    def _decide_step(self):
+        """Generator: perform one simplex iteration; return the operation name."""
         raise NotImplementedError
 
     # -- shared plumbing -----------------------------------------------------------
@@ -590,12 +589,19 @@ class SimplexOptimizer:
         if reason is not None:
             raise _StopOptimization(reason)
 
-    def _wait(self, dt: float, targets: Sequence[VertexEvaluation] = ()) -> None:
-        """Spend ``dt`` virtual seconds sampling; track per-step wait time."""
-        self.pool.advance(dt, targets=targets or None)
+    def _wait(self, dt: float, targets: Sequence[VertexEvaluation] = ()):
+        """Generator: spend ``dt`` virtual seconds sampling; track per-step
+        wait time."""
+        if self._pool_rounds:
+            yield from self.pool.advance_rounds(dt, targets=targets or None)
+        else:
+            self.pool.advance(dt, targets=targets or None)
         self._step_wait += dt
 
-    def _activate(self, theta, label: str) -> VertexEvaluation:
+    def _activate(self, theta, label: str):
+        """Generator: activate a new vertex; returns its evaluation."""
+        if self._pool_rounds:
+            return (yield from self.pool.activate_rounds(theta, label=label))
         return self.pool.activate(theta, label=label)
 
     def _discard(self, *evs: VertexEvaluation) -> None:
@@ -614,26 +620,28 @@ class SimplexOptimizer:
         self.simplex.replace(mx, new, operation)
         self._discard(mx)
 
-    def _do_collapse(self, mn: VertexEvaluation) -> None:
-        """Collapse every non-best vertex halfway toward the best (§2.1)."""
+    def _do_collapse(self, mn: VertexEvaluation):
+        """Generator: collapse every non-best vertex halfway toward the best
+        (§2.1)."""
         replacements = []
         old = [ev for ev in self.simplex.vertices if ev is not mn]
         for i, ev in enumerate(old):
             new_theta = geom.collapse_point(ev.theta, mn.theta)
-            replacements.append(self._activate(new_theta, label=f"clp{i}"))
+            replacements.append((yield from self._activate(new_theta, label=f"clp{i}")))
         self.simplex.collapse(replacements)
         self._discard(*old)
 
     # -- shared step skeleton (Algorithms 1 & 2 differ only by the gate) ----------
 
-    def _classic_step(self) -> str:
-        """One iteration of Algorithm 1's decision tree on plain estimates."""
+    def _classic_step(self):
+        """Generator: one iteration of Algorithm 1's decision tree on plain
+        estimates; returns the operation name."""
         mn, smax, mx = self.simplex.order()
         cent, ref_theta = self._trial_points(mx)
-        ref = self._activate(ref_theta, label="ref")
+        ref = yield from self._activate(ref_theta, label="ref")
         if ref.estimate < mn.estimate:
             exp_theta = geom.expand_point(ref.theta, cent, self.gamma)
-            exp = self._activate(exp_theta, label="exp")
+            exp = yield from self._activate(exp_theta, label="exp")
             if exp.estimate < ref.estimate:
                 self._accept(mx, exp, "expand")
                 self._discard(ref)
@@ -645,11 +653,11 @@ class SimplexOptimizer:
             self._accept(mx, ref, "reflect")
             return "reflect"
         con_theta = geom.contract_point(mx.theta, cent, self.beta)
-        con = self._activate(con_theta, label="con")
+        con = yield from self._activate(con_theta, label="con")
         if con.estimate < mx.estimate:
             self._accept(mx, con, "contract")
             self._discard(ref)
             return "contract"
         self._discard(ref, con)
-        self._do_collapse(mn)
+        yield from self._do_collapse(mn)
         return "collapse"

@@ -97,22 +97,23 @@ class MaxNoise(SimplexOptimizer):
         internal = self.simplex.internal_variance()
         return max_var <= self.k * internal
 
-    def _wait_for_gate(self) -> None:
-        """Sample until the gate opens (or a termination criterion fires)."""
+    def _wait_for_gate(self):
+        """Generator: sample until the gate opens (or a termination
+        criterion fires)."""
         dt = self.wait_dt
         while not self._gate_satisfied():
             self._check_interrupt()
             if self.wait_target == "noisiest":
                 noisiest = max(self.simplex.vertices, key=lambda ev: ev.variance)
-                self._wait(dt, targets=[noisiest])
+                yield from self._wait(dt, targets=[noisiest])
             else:
-                self._wait(dt)
+                yield from self._wait(dt)
             self._step_resamples += 1
             dt *= self.wait_growth
 
-    def _decide_step(self) -> str:
-        self._wait_for_gate()
-        return self._classic_step()
+    def _decide_step(self):
+        yield from self._wait_for_gate()
+        return (yield from self._classic_step())
 
 
 #: Alias used in tables and figures.

@@ -32,8 +32,8 @@ class NelderMead(SimplexOptimizer):
     name = "DET"
     concurrent_sampling = False
 
-    def _decide_step(self) -> str:
-        return self._classic_step()
+    def _decide_step(self):
+        return (yield from self._classic_step())
 
 
 #: Alias used throughout the paper's tables and figures.

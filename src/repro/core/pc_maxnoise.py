@@ -11,8 +11,10 @@ sigma0 = 1000, §3.3).
 Under the ask/tell seam (:mod:`repro.core.base`) the two gates interleave as
 alternating proposal rounds: first the MN wait refines all active vertices
 (one round per unsatisfied eq. 2.3 check), then the PC comparison sites add
-their own rounds.  Nothing here overrides the seam — both gates funnel every
-sample through :meth:`SamplingPool.advance`, which is the interception point.
+their own rounds.  Nothing here overrides the seam — both gates are
+generators that funnel every sample through the pool's
+:meth:`~repro.noise.stochastic.SamplingPool.advance_rounds`, which yields
+the rounds.
 """
 
 from __future__ import annotations
@@ -76,17 +78,17 @@ class PCMaxNoise(PointComparison):
         max_var = float(self.simplex.variances().max())
         return max_var <= self.k_mn * self.simplex.internal_variance()
 
-    def _wait_for_gate(self) -> None:
+    def _wait_for_gate(self):
         dt = self.wait_dt
         while not self._gate_satisfied():
             self._check_interrupt()
-            self._wait(dt)
+            yield from self._wait(dt)
             self._step_resamples += 1
             dt *= self.wait_growth
 
-    def _decide_step(self) -> str:
-        self._wait_for_gate()
-        return super()._decide_step()
+    def _decide_step(self):
+        yield from self._wait_for_gate()
+        return (yield from super()._decide_step())
 
 
 #: Alias used in tables and figures.

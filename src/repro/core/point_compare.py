@@ -121,8 +121,9 @@ class PointComparison(SimplexOptimizer):
         b: VertexEvaluation,
         site_below: int,
         site_not_below: int,
-    ) -> Decision:
-        """Resolve a paired condition (c1/c5, c3/c4 or c6/c7), resampling as needed.
+    ):
+        """Generator: resolve a paired condition (c1/c5, c3/c4 or c6/c7),
+        resampling as needed; returns the :class:`Decision`.
 
         Returns :data:`Decision.BELOW` when the ``site_below`` condition fires
         and :data:`Decision.NOT_BELOW` when ``site_not_below`` fires.  If the
@@ -147,7 +148,7 @@ class PointComparison(SimplexOptimizer):
                     else Decision.NOT_BELOW
                 )
             self._check_interrupt()
-            self._wait(dt, targets=[a, b])
+            yield from self._wait(dt, targets=[a, b])
             self._step_resamples += 1
             rounds += 1
             dt *= self.resample_growth
@@ -167,18 +168,18 @@ class PointComparison(SimplexOptimizer):
 
     # -- Algorithm 3 -------------------------------------------------------------
 
-    def _decide_step(self) -> str:
+    def _decide_step(self):
         mn, smax, mx = self.simplex.order()
         cent, ref_theta = self._trial_points(mx)
-        ref = self._activate(ref_theta, label="ref")
-        branch = self._decide_pair(ref, smax, site_below=1, site_not_below=5)
+        ref = yield from self._activate(ref_theta, label="ref")
+        branch = yield from self._decide_pair(ref, smax, site_below=1, site_not_below=5)
         if branch is Decision.BELOW:  # condition 1
             if self._single_condition(ref, mn, site=2):  # condition 2
                 self._accept(mx, ref, "reflect")
                 return "reflect"
             exp_theta = geom.expand_point(ref.theta, cent, self.gamma)
-            exp = self._activate(exp_theta, label="exp")
-            verdict = self._decide_pair(exp, ref, site_below=3, site_not_below=4)
+            exp = yield from self._activate(exp_theta, label="exp")
+            verdict = yield from self._decide_pair(exp, ref, site_below=3, site_not_below=4)
             if verdict is Decision.BELOW:  # condition 3
                 self._accept(mx, exp, "expand")
                 self._discard(ref)
@@ -189,15 +190,15 @@ class PointComparison(SimplexOptimizer):
             return "reflect"
         # condition 5
         con_theta = geom.contract_point(mx.theta, cent, self.beta)
-        con = self._activate(con_theta, label="con")
-        verdict = self._decide_pair(con, mx, site_below=6, site_not_below=7)
+        con = yield from self._activate(con_theta, label="con")
+        verdict = yield from self._decide_pair(con, mx, site_below=6, site_not_below=7)
         if verdict is Decision.BELOW:  # condition 6
             self._accept(mx, con, "contract")
             self._discard(ref)
             return "contract"
         # condition 7
         self._discard(ref, con)
-        self._do_collapse(mn)
+        yield from self._do_collapse(mn)
         return "collapse"
 
 

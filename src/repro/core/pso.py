@@ -13,8 +13,8 @@ confidence-interval update rule so noise does not corrupt the incumbent),
 followed by an MN or PC local stage seeded with a simplex around the swarm's
 best point.
 
-Like the simplex family, :class:`NoisyPSO` speaks ask/tell — but natively,
-with no engine thread: one swarm generation is one batch of proposals
+Like the simplex family, :class:`NoisyPSO` speaks ask/tell — but with no
+step generator: one swarm generation is one batch of proposals
 (:meth:`NoisyPSO.ask` moves the swarm and mints a proposal per particle,
 :meth:`NoisyPSO.tell` collects surface values in any order, and the last
 tell of a generation merges noise and updates the incumbents in particle

@@ -23,7 +23,11 @@ Two estimator modes are provided (an ablation axis, see DESIGN.md):
 :class:`SamplingPool` keeps a set of evaluations "active": advancing the pool
 by ``dt`` extends *every* active evaluation by ``dt`` and moves the virtual
 clock, modelling the MW deployment where each vertex's simulations keep
-running until the master says stop.
+running until the master says stop.  Every sampling request is a *round*;
+the generator forms :meth:`SamplingPool.activate_rounds` and
+:meth:`SamplingPool.advance_rounds` yield the rounds so a caller can answer
+them with externally computed surface values (the ask/tell seam of
+:mod:`repro.core.base`) instead of sampling locally.
 """
 
 from __future__ import annotations
@@ -304,15 +308,6 @@ class SamplingPool:
         self.concurrent = bool(concurrent)
         self.active: List[VertexEvaluation] = []
         self.n_activations = 0
-        #: Optional sampling interceptor ``hook(evs, dt) -> [fval, ...]``.
-        #: When set (by the ask/tell engine in :mod:`repro.core.base`),
-        #: every sampling request is published as a round of proposals and
-        #: the returned deterministic surface values are merged through
-        #: :meth:`StochasticFunction.merge_external` in pool order.  ``None``
-        #: (the default) samples locally via :meth:`StochasticFunction.extend`.
-        self.sample_hook: Optional[
-            Callable[[List[VertexEvaluation], float], List[float]]
-        ] = None
 
     @property
     def clock(self) -> VirtualClock:
@@ -322,6 +317,66 @@ class SamplingPool:
     def now(self) -> float:
         return self.func.clock.now
 
+    # -- sampling as rounds ------------------------------------------------
+    #
+    # Every sampling request of the pool is a *round*: the generator forms
+    # below yield ``(evs, dt)`` and expect the round's answer sent back —
+    # either the deterministic surface values ``f(theta)`` of ``evs`` (in
+    # order; the noise model is applied here, in pool order, through
+    # :meth:`StochasticFunction.merge_external_batch`) or ``None`` to sample
+    # locally through :meth:`StochasticFunction.extend_many`.  The clock
+    # only moves after the round is merged.  The synchronous
+    # :meth:`activate` / :meth:`advance` drive the same generators with
+    # :func:`sample_locally`; the ask/tell engine in :mod:`repro.core.base`
+    # publishes each round as proposals instead.
+
+    def activate_rounds(self, theta, label: str = ""):
+        """Generator form of :meth:`activate`; returns the new evaluation."""
+        ev = self.func.start(theta, label=label)
+        self.active.append(ev)
+        self.n_activations += 1
+        if self.concurrent:
+            yield from self.advance_rounds(self.warmup)
+        else:
+            yield from self._sample_rounds([ev], self.warmup)
+            self.clock.advance(self.warmup)
+        return ev
+
+    def advance_rounds(self, dt: float, targets=None):
+        """Generator form of :meth:`advance`; returns the new clock time."""
+        dt = float(dt)
+        if not (dt > 0.0):
+            raise ValueError(f"dt must be > 0, got {dt!r}")
+        if self.concurrent:
+            extend = self.active
+        else:
+            extend = list(targets) if targets is not None else []
+            for ev in extend:
+                if ev not in self.active:
+                    raise ValueError("target evaluation is not active in this pool")
+        yield from self._sample_rounds(extend, dt)
+        return self.clock.advance(dt)
+
+    def _sample_rounds(self, evs, dt: float):
+        """Yield one ``(evs, dt)`` round (none when ``evs`` is empty) and
+        merge its answer.
+
+        Both answers run the batched sampling kernel (vectorized surface
+        call where available, one rng draw for the whole round), which is
+        bitwise identical to the historical per-evaluation loop — see
+        :meth:`StochasticFunction.merge_external_batch`.
+        """
+        if not evs:
+            return
+        evs = list(evs)
+        values = yield evs, dt
+        if values is None:
+            self.func.extend_many(evs, dt)
+        else:
+            self.func.merge_external_batch(evs, dt, values)
+
+    # -- synchronous protocol ------------------------------------------------
+
     def activate(self, theta, label: str = "") -> VertexEvaluation:
         """Start sampling a new point; it receives the warmup time.
 
@@ -329,15 +384,7 @@ class SamplingPool:
         run before it produces a usable estimate).  In concurrent mode the
         other active vertices refine for free while it runs.
         """
-        ev = self.func.start(theta, label=label)
-        self.active.append(ev)
-        self.n_activations += 1
-        if self.concurrent:
-            self.advance(self.warmup)
-        else:
-            self._sample([ev], self.warmup)
-            self.clock.advance(self.warmup)
-        return ev
+        return sample_locally(self.activate_rounds(theta, label=label))
 
     def adopt(self, ev: VertexEvaluation) -> VertexEvaluation:
         """Add an existing evaluation to the active set (no time passes)."""
@@ -360,40 +407,26 @@ class SamplingPool:
         non-concurrent mode only the ``targets`` (default: none) receive
         sampling.  Returns the new clock time.
         """
-        dt = float(dt)
-        if not (dt > 0.0):
-            raise ValueError(f"dt must be > 0, got {dt!r}")
-        if self.concurrent:
-            extend = self.active
-        else:
-            extend = list(targets) if targets is not None else []
-            for ev in extend:
-                if ev not in self.active:
-                    raise ValueError("target evaluation is not active in this pool")
-        self._sample(extend, dt)
-        return self.clock.advance(dt)
-
-    def _sample(self, evs, dt: float) -> None:
-        """Extend ``evs`` by ``dt``: locally, or through the ask/tell hook.
-
-        Every sampling request of the pool funnels through here, which is
-        what lets the ask/tell engine intercept *all* evaluation traffic by
-        setting :attr:`sample_hook` — one hook call is one proposal round.
-        Both paths run the batched sampling kernel (vectorized surface
-        call where available, one rng draw for the whole round), which is
-        bitwise identical to the historical per-evaluation loop — see
-        :meth:`StochasticFunction.merge_external_batch`.
-        """
-        if not evs:
-            return
-        if self.sample_hook is None:
-            self.func.extend_many(list(evs), dt)
-            return
-        values = self.sample_hook(list(evs), float(dt))
-        self.func.merge_external_batch(list(evs), dt, values)
+        return sample_locally(self.advance_rounds(dt, targets=targets))
 
     def __len__(self) -> int:
         return len(self.active)
 
     def __contains__(self, ev: VertexEvaluation) -> bool:
         return ev in self.active
+
+
+def sample_locally(rounds):
+    """Drive a round generator to completion, sampling every round locally.
+
+    ``rounds`` is any generator that yields ``(evs, dt)`` sampling rounds
+    and accepts ``None`` as "sample them here" (see
+    :meth:`SamplingPool.advance_rounds`); returns the generator's return
+    value.
+    """
+    try:
+        rounds.send(None)
+        while True:
+            rounds.send(None)
+    except StopIteration as stop:
+        return stop.value

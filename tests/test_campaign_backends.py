@@ -165,15 +165,20 @@ class TestSQLiteBackend:
         barrier = threading.Barrier(2)
 
         def claim(slot):
-            store = SQLiteStoreBackend(tmp_path)
-            barrier.wait()
+            try:
+                store = SQLiteStoreBackend(tmp_path)
+            finally:
+                # a thread that failed to open must not strand its peer
+                barrier.wait(timeout=30)
             grants[slot] = store.claim(ids, f"r{slot}", ttl=60)
 
         threads = [threading.Thread(target=claim, args=(i,)) for i in range(2)]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads), "claim thread hung"
+        assert None not in grants, "a claim thread raised"
         assert set(grants[0]) & set(grants[1]) == set()
         assert set(grants[0]) | set(grants[1]) == set(ids)
 

@@ -3,19 +3,26 @@
 Three layers of evidence that killing the per-iteration barrier did not
 change the optimizers:
 
-* **Trajectory parity** — for every algorithm in ``ALGORITHMS``, the
-  engine-backed ``run()`` (and a manual out-of-order ask/tell drive)
-  reproduces the sequential reference loop ``_run_inline()`` seed for
-  seed: identical vertices, identical :class:`OptimizationResult`,
-  identical trace.
+* **Trajectory parity** — for every algorithm in ``ALGORITHMS``,
+  ``run()`` and manual ask/tell drives (out-of-order tells, batched
+  ``tell_many``) reproduce the locally sampled loop ``_run_inline()`` seed
+  for seed: identical vertices, identical :class:`OptimizationResult`,
+  identical trace.  ``tests/test_core_golden.py`` pins all of them to
+  digests of the pre-generator reference loop.
 * **Protocol semantics** — duplicate tells are rejected cleanly, unknown
   ids raise, late tells go stale and are counted, speculative refinement
   proposals respect the non-concurrent (DET) pool contract.
+* **Lifecycle** — the engine is thread-free: opening and abandoning runs
+  starts no threads, ``close()`` returns at once, and ``result()`` on an
+  unfinished run raises instead of waiting.
 * **A hypothesis state machine** — random interleavings of
   ask / in-order tells / out-of-order tells / duplicate tells / unknown
   tells never mint a duplicate proposal id, never lose a proposal, and
   always terminate.
 """
+
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -81,7 +88,7 @@ def assert_results_identical(a, b):
 
 
 class TestRunParity:
-    """run() (engine path) is trajectory-identical to _run_inline()."""
+    """run() and the ask/tell drives are trajectory-identical to _run_inline()."""
 
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     def test_engine_run_matches_inline_reference(self, algorithm):
@@ -127,7 +134,7 @@ class TestRunParity:
         """Whole-round tell_many frames == the sequential reference.
 
         The --eval-batch fan-in: a frame of results lands through one
-        batched tell (one lock acquisition, one engine wake-up) with the
+        batched tell (at most one step resumption) with the
         surface values computed by the vectorized batch kernel, and the
         trajectory must stay bitwise identical to the inline loop.
         """
@@ -294,6 +301,70 @@ class TestRefinements:
             proposals = opt.ask()
         opt.result()
         assert opt.n_stale_tells >= before
+
+
+class TestThreadFreeLifecycle:
+    """The engine runs each step on the caller's thread: no threads to leak,
+    nothing to join, nothing to wait for."""
+
+    def test_open_finish_and_abandon_leave_no_threads(self):
+        before = threading.active_count()
+        opts = [build("MN" if i % 2 else "DET", seed=i, max_steps=4) for i in range(200)]
+        rounds = [opt.ask() for opt in opts]
+        assert all(rounds)
+        assert threading.active_count() == before
+        for opt, proposals in zip(opts[:100], rounds):
+            surface = opt.func.f
+            while proposals:
+                for p in proposals:
+                    opt.tell(p.id, float(surface(np.asarray(p.theta))))
+                proposals = opt.ask()
+            assert opt.finished
+            assert opt.result().n_steps > 0
+        del opts[100:]  # abandoned mid-round, never closed
+        assert threading.active_count() == before
+
+    def test_close_returns_at_once(self):
+        opt = build("PC", max_steps=50)
+        assert opt.ask()
+        t0 = time.perf_counter()
+        opt.close(reason="stop")
+        assert time.perf_counter() - t0 < 0.5
+        assert opt.finished
+        assert opt.result().reason == "stop"
+        assert opt.ask() == []
+
+    def test_result_with_outstanding_round_raises(self):
+        opt = build("MN", max_steps=5)
+        proposals = opt.ask()
+        assert proposals
+        with pytest.raises(RuntimeError, match="not finished"):
+            opt.result()
+        # the run is intact: finishing the round carries on normally
+        surface = opt.func.f
+        while proposals:
+            for p in proposals:
+                opt.tell(p.id, float(surface(np.asarray(p.theta))))
+            proposals = opt.ask()
+        assert opt.result().n_steps > 0
+
+    def test_step_error_surfaces_through_ask_and_result(self):
+        opt = build("MN", max_steps=5)
+        proposals = opt.ask()
+
+        def broken_merge(*args, **kwargs):
+            raise ValueError("step exploded")
+
+        opt.func.merge_external_batch = broken_merge
+        statuses = opt.tell_many(
+            [(p.id, float(opt.func.f(np.asarray(p.theta)))) for p in proposals]
+        )
+        assert statuses == [TELL_APPLIED] * len(proposals)
+        assert opt.finished
+        with pytest.raises(ValueError, match="step exploded"):
+            opt.ask()
+        with pytest.raises(ValueError, match="step exploded"):
+            opt.result()
 
 
 @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
