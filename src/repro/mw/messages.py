@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.mw.codec import pack, unpack
+from repro.mw.codec import CodecError, pack, unpack
 
 MSG_TASK = "task"
 MSG_RESULT = "result"
@@ -60,9 +60,18 @@ def encode_message(message: Message) -> bytes:
 
 
 def decode_message(data: bytes) -> Message:
-    """Inverse of :func:`encode_message`."""
+    """Inverse of :func:`encode_message`.
+
+    Raises :class:`~repro.mw.codec.CodecError` for any malformed frame,
+    including a well-formed payload that is not a valid message.
+    """
     obj = unpack(data)
     if not (isinstance(obj, tuple) and len(obj) == 3):
-        raise ValueError("malformed message frame")
+        raise CodecError("malformed message frame")
     tag, sender, payload = obj
-    return Message(tag=tag, sender=sender, payload=payload)
+    if not isinstance(tag, str) or type(sender) is not int:
+        raise CodecError(f"malformed message header ({tag!r}, {sender!r})")
+    try:
+        return Message(tag=tag, sender=sender, payload=payload)
+    except ValueError as exc:
+        raise CodecError(f"malformed message frame: {exc}") from None

@@ -18,10 +18,17 @@ processors* — with a small framed protocol over plain sockets:
   (entropy + spawn key, so per-rank RNG streams are identical to the
   same-host transports), the executor's importable ``module:attr`` wire
   spec, and the heartbeat interval;
+* after the handshake the master runs no thread per connection: the
+  driver's own thread reads every worker through one selector inside
+  :meth:`TcpMasterTransport.recv` and :meth:`TcpMasterTransport.poll`,
+  splitting complete frames out of a per-connection buffer (the same
+  length-prefix and size checks as :func:`recv_frame`);
 * workers heartbeat between tasks; a silent or disconnected worker is
   reported dead through :meth:`TcpMasterTransport.poll`, which feeds the
   driver's existing crash-requeue path, and its rank becomes free so a
-  replacement worker is "restarted on the same processors" (§3.1);
+  replacement worker is "restarted on the same processors" (§3.1).
+  ``poll`` reads pending frames before judging silence, so heartbeats
+  that queued while the driver was busy still count;
 * master shutdown fans a ``shutdown`` frame to every connected worker and
   closes all sockets, so ``python -m repro mw-worker`` processes exit
   cleanly when the campaign finishes.
@@ -32,12 +39,13 @@ CLI as ``python -m repro mw-worker tcp://host:port``.
 
 from __future__ import annotations
 
-import queue
 import random
+import selectors
 import socket
 import threading
 import time
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,7 +80,9 @@ from repro.mw.worker import Executor, MWWorker
 from repro.telemetry.metrics import NULL_COUNTER, NULL_HISTOGRAM
 
 #: Protocol version carried in the hello/welcome handshake.
-PROTOCOL_VERSION = 1
+#: Version 2 added the homogeneous ``list[str]``/``list[int]`` codec tags,
+#: which a version-1 peer cannot decode.
+PROTOCOL_VERSION = 2
 
 #: Default seconds between worker heartbeats.
 DEFAULT_HEARTBEAT_INTERVAL = 1.0
@@ -80,6 +90,10 @@ DEFAULT_HEARTBEAT_INTERVAL = 1.0
 #: Dead-peer detection: a worker silent for this many heartbeat intervals
 #: (no heartbeat, result, or error frame) is presumed crashed.
 HEARTBEAT_TIMEOUT_INTERVALS = 5.0
+
+#: Bytes the master asks the kernel for per readable connection; a reply
+#: frame is well under this, and larger frames simply take several reads.
+RECV_CHUNK_BYTES = 64 * 1024
 
 
 def parse_tcp_url(url: str) -> Tuple[str, int]:
@@ -240,6 +254,14 @@ class TcpMasterTransport(Transport):
     stream and affinity).  Excess workers beyond ``n_workers`` are turned
     away with a ``shutdown`` frame.
 
+    Threading: a background thread accepts connections and a short-lived
+    thread runs each handshake, so a slow joiner never stalls the master.
+    Once welcomed, a connection is handed to the *driver's* thread — the
+    one calling :meth:`recv`, :meth:`poll`, :meth:`send` and
+    :meth:`close` — which reads every worker through one selector.  No
+    thread exists per connection: replies are decoded where they are
+    consumed, and the master's thread count does not grow with the fleet.
+
     Parameters
     ----------
     url:
@@ -284,15 +306,23 @@ class TcpMasterTransport(Transport):
         )
         self._seed_seqs = list(seed_seqs)
         self._executor_payload = executor_wire_spec(executor)
-        self._replies: queue.Queue = queue.Queue()
+        # Shared with the accept/handshake threads, under _lock.
         self._lock = threading.Lock()
         self._conns: Dict[int, socket.socket] = {}
         self._caps: Dict[int, FrozenSet[str]] = {}
         self._last_seen: Dict[int, float] = {}
         self._events: List[TransportEvent] = []
+        self._joined: List[Tuple[int, socket.socket]] = []  # awaiting the selector
         self._threads: List[threading.Thread] = []
         self._listener: Optional[socket.socket] = None
         self._closing = False
+        # The driver thread's alone: the selector over live connections
+        # (each key's data is ``(rank, receive buffer)``; the waker's is
+        # None), the socketpair handshakes use to interrupt a blocked
+        # select, and complete replies not yet returned by recv().
+        self._selector: Optional[selectors.BaseSelector] = None
+        self._waker: Optional[Tuple[socket.socket, socket.socket]] = None
+        self._inbox: Deque[Message] = deque()
         # Re-bound against the live telemetry context in start(); null here
         # so a transport used without a driver still counts safely.
         self._m_sent = NULL_COUNTER
@@ -315,9 +345,15 @@ class TcpMasterTransport(Transport):
         )
         self._m_heartbeat_gap = self.telemetry.histogram(
             "repro_mw_heartbeat_gap_seconds",
-            "Observed silence between worker frames at each heartbeat "
-            "(RTT + scheduling delay proxy).",
+            "Silence between worker frames as read by the master at each "
+            "heartbeat (RTT + scheduling delay + master busy time).",
         )
+        self._selector = selectors.DefaultSelector()
+        wake_r, wake_w = socket.socketpair()
+        wake_r.setblocking(False)
+        wake_w.setblocking(False)
+        self._waker = (wake_r, wake_w)
+        self._selector.register(wake_r, selectors.EVENT_READ, None)
         self._listener = socket.create_server(
             (self.host, self.port), backlog=self.n_workers + 2, reuse_port=False
         )
@@ -360,6 +396,10 @@ class TcpMasterTransport(Transport):
                 self._listener.close()
             except OSError:
                 pass
+        if self._selector is not None:
+            self._selector.close()
+        for end in self._waker or ():
+            end.close()
         for t in self._threads:
             t.join(timeout=5.0)
 
@@ -436,8 +476,10 @@ class TcpMasterTransport(Transport):
         try:
             send_frame(sock, welcome)
         except OSError:
-            self._drop(rank, sock, report=False)
+            self._forget(rank, sock, report=False)
             raise
+        # blocking from here: the driver thread only reads a connection
+        # the selector reported readable, and sendall needs blocking mode
         sock.settimeout(None)
         _enable_keepalive(sock)
         _disable_nagle(sock)
@@ -447,43 +489,21 @@ class TcpMasterTransport(Transport):
                 # superseded while we handshook; do not announce the join
                 raise ValueError("connection lost during handshake")
             self._last_seen[rank] = time.monotonic()
-            # queue the join BEFORE the reader thread exists: the reader is
-            # the only source of this connection's DIED event, so starting
-            # it later makes died-before-joined inversion impossible
+            # the join is queued in the same step that hands the connection
+            # to the driver thread, the only source of its DIED event — so
+            # a died-before-joined inversion is impossible
             self._events.append((EVENT_JOINED, rank))
-        t = threading.Thread(
-            target=self._reader_loop, args=(rank, sock),
-            daemon=True, name=f"mw-tcp-reader-{rank}",
-        )
-        t.start()
-        with self._lock:
-            self._threads.append(t)
+            self._joined.append((rank, sock))
+        self._wake()
 
-    def _reader_loop(self, rank: int, sock: socket.socket) -> None:
-        """Pump frames from one worker into the reply queue until EOF/error."""
+    def _wake(self) -> None:
+        """Interrupt the driver thread's select so it adopts new joiners."""
         try:
-            while True:
-                message = recv_frame(sock)
-                if message is None:
-                    break
-                now = time.monotonic()
-                with self._lock:
-                    if self._conns.get(rank) is not sock:
-                        return  # superseded (e.g. presumed dead, rank reused)
-                    gap = now - self._last_seen.get(rank, now)
-                    self._last_seen[rank] = now
-                self._m_received.inc()
-                if message.tag == MSG_HEARTBEAT:
-                    # The silence a heartbeat ends approximates one worker
-                    # round trip plus scheduling delay — the RTT series.
-                    self._m_heartbeat_gap.observe(gap)
-                    continue
-                self._replies.put(message)
-        except (OSError, CodecError):
-            pass
-        self._drop(rank, sock)
+            self._waker[1].send(b"\0")
+        except OSError:
+            pass  # a full waker buffer is already a pending wake-up; closed is moot
 
-    def _drop(self, rank: int, sock: socket.socket, report: bool = True) -> None:
+    def _forget(self, rank: int, sock: socket.socket, report: bool = True) -> None:
         """Unregister a connection; report the death unless we are closing."""
         with self._lock:
             if self._conns.get(rank) is not sock:
@@ -493,10 +513,97 @@ class TcpMasterTransport(Transport):
             self._last_seen.pop(rank, None)
             if report and not self._closing:
                 self._events.append((EVENT_DIED, rank))
+
+    # -- driver-thread receive path ------------------------------------------
+
+    def _drop(self, rank: int, sock: socket.socket) -> None:
+        """Stop reading a connection, report it dead and close it."""
+        try:
+            self._selector.unregister(sock)
+        except (KeyError, ValueError):
+            pass  # not adopted yet, or the selector is closed
+        self._forget(rank, sock)
         try:
             sock.close()
         except OSError:
             pass
+
+    def _adopt_joined(self) -> None:
+        """Register connections welcomed since the last call with the selector."""
+        with self._lock:
+            joined, self._joined = self._joined, []
+            live = [(rank, sock) for rank, sock in joined if self._conns.get(rank) is sock]
+        for rank, sock in live:
+            self._selector.register(sock, selectors.EVENT_READ, (rank, bytearray()))
+
+    def _reap_closed(self) -> None:
+        """Drop connections whose socket was closed under the selector.
+
+        A closed descriptor silently leaves epoll; without this its number
+        could be reused by the next joiner and collide with the stale key.
+        """
+        for key in list(self._selector.get_map().values()):
+            if key.data is not None and key.fileobj.fileno() < 0:
+                self._drop(key.data[0], key.fileobj)
+
+    def _read_ready(self, timeout: Optional[float]) -> None:
+        """Wait up to ``timeout`` for readable connections and read each once.
+
+        Complete frames are split off each connection's buffer: heartbeats
+        are consumed here, replies queue in :attr:`_inbox`.  EOF, a socket
+        error, or a malformed frame drops that connection alone.
+        """
+        if self._joined:
+            self._adopt_joined()
+        for key, _events in self._selector.select(timeout):
+            if key.data is None:
+                try:
+                    while key.fileobj.recv(4096):
+                        pass
+                except BlockingIOError:
+                    pass
+                self._adopt_joined()
+                continue
+            rank, buf = key.data
+            sock = key.fileobj
+            try:
+                chunk = sock.recv(RECV_CHUNK_BYTES)
+                if chunk:
+                    buf += chunk
+                    self._split_frames(rank, sock, buf)
+                    continue
+            except (OSError, CodecError):
+                pass
+            self._drop(rank, sock)  # EOF, socket error or malformed frame
+
+    def _split_frames(self, rank: int, sock: socket.socket, buf: bytearray) -> None:
+        """Consume every complete frame at the head of ``buf``."""
+        start = 0
+        while len(buf) - start >= FRAME_HEADER_BYTES:
+            body = start + FRAME_HEADER_BYTES
+            end = body + decode_frame_length(buf[start:body], MAX_FRAME_BYTES)
+            if end > len(buf):
+                break
+            self._receive(rank, sock, decode_message(bytes(buf[body:end])))
+            start = end
+        del buf[:start]
+
+    def _receive(self, rank: int, sock: socket.socket, message: Message) -> None:
+        """Note the sign of life; keep a reply, consume a heartbeat."""
+        now = time.monotonic()
+        with self._lock:
+            if self._conns.get(rank) is not sock:
+                return  # superseded (e.g. presumed dead, rank reused)
+            gap = now - self._last_seen.get(rank, now)
+            self._last_seen[rank] = now
+        self._m_received.inc()
+        if message.tag == MSG_HEARTBEAT:
+            # The silence a heartbeat ends approximates one worker round
+            # trip plus scheduling delay — the RTT series.  It is measured
+            # when the driver reads the frame, so master busy time counts.
+            self._m_heartbeat_gap.observe(gap)
+            return
+        self._inbox.append(message)
 
     # -- Transport interface ----------------------------------------------
 
@@ -513,16 +620,34 @@ class TcpMasterTransport(Transport):
             self._drop(rank, sock)
 
     def recv(self, timeout: Optional[float] = None) -> Optional[Message]:
-        """Next worker result/error frame (``None`` on timeout)."""
-        try:
-            if timeout == 0:
-                return self._replies.get_nowait()
-            return self._replies.get(timeout=timeout)
-        except queue.Empty:
+        """Next worker result/error frame (``None`` on timeout).
+
+        Reads the connections on the calling thread: waits in the
+        selector until a reply is complete or ``timeout`` elapses.
+        """
+        if self._inbox:
+            return self._inbox.popleft()
+        if self._selector is None or self._closing:
             return None
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            wait = None if deadline is None else max(0.0, deadline - time.monotonic())
+            self._read_ready(wait)
+            if self._inbox:
+                return self._inbox.popleft()
+            if deadline is not None and time.monotonic() >= deadline:
+                return None
 
     def poll(self) -> List[TransportEvent]:
-        """Drain join/death events; also sweep for heartbeat timeouts."""
+        """Drain join/death events; also sweep for heartbeat timeouts.
+
+        Readable connections are drained first (without waiting), so a
+        worker whose heartbeats sat unread while the driver was busy is
+        credited with them before the sweep judges its silence.
+        """
+        if self._selector is not None and not self._closing:
+            self._reap_closed()
+            self._read_ready(0)
         now = time.monotonic()
         stale: List[Tuple[int, socket.socket]] = []
         with self._lock:

@@ -187,3 +187,152 @@ class TestFloatListFastPath:
     def test_large_list_roundtrip(self):
         values = [float(i) * 0.1 for i in range(10_000)]
         assert unpack(pack(values)) == values
+
+
+def same(a, b):
+    """Equal *and* of identical Python types, recursively (``True != 1``)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same(a[k], b[k]) for k in a)
+    return a == b
+
+
+class TestIdListFastPaths:
+    """The homogeneous str/int list tags: one struct call per id column."""
+
+    def test_str_list_uses_dedicated_tag(self):
+        ids = ["job-0", "job-1", "job-22"]
+        assert pack(ids)[0:1] == b"S"
+        out = unpack(pack(ids))
+        assert same(out, ids)
+
+    def test_int_list_uses_dedicated_tag(self):
+        values = [0, -1, 2**63 - 1, -(2**63)]
+        assert pack(values)[0:1] == b"I"
+        out = unpack(pack(values))
+        assert same(out, values)
+
+    def test_bool_int_mixes_fall_back_and_keep_their_bools(self):
+        for payload in ([True, 1], [1, True]):
+            assert pack(payload)[0:1] == b"l"
+            assert same(unpack(pack(payload)), payload)
+
+    def test_all_bool_list_keeps_bools(self):
+        assert same(unpack(pack([True, False])), [True, False])
+
+    def test_out_of_range_int_in_list_rejected(self):
+        with pytest.raises(CodecError, match="64-bit"):
+            pack([2**63])
+        with pytest.raises(CodecError, match="64-bit"):
+            pack([1, -(2**63) - 1])
+
+    def test_non_ascii_and_empty_strings_roundtrip(self):
+        ids = ["", "héllo", "", "日本語", "a\x00b", "\U0001f600"]
+        assert pack(ids)[0:1] == b"S"
+        assert same(unpack(pack(ids)), ids)
+
+    def test_str_list_of_empty_strings(self):
+        assert same(unpack(pack(["", ""])), ["", ""])
+
+    def test_truncated_str_list_rejected(self):
+        data = pack(["job-0", "job-1"])
+        for cut in (1, 3, 6, len(data) - 1):
+            with pytest.raises(CodecError):
+                unpack(data[:cut])
+
+    def test_truncated_int_list_rejected(self):
+        data = pack([1, 2, 3])
+        for cut in (1, 3, 6, len(data) - 1):
+            with pytest.raises(CodecError):
+                unpack(data[:cut])
+
+    def test_batch_frame_columns_roundtrip(self):
+        work = {
+            "kind": "eval_batch",
+            "job_ids": [f"job-{i:040x}" for i in range(24)],
+            "proposal_ids": [f"r{i}:v{i % 5}" for i in range(24)],
+            "thetas": np.arange(48.0).reshape(24, 2),
+        }
+        out = unpack(pack(work))
+        assert same(out["job_ids"], work["job_ids"])
+        assert same(out["proposal_ids"], work["proposal_ids"])
+        np.testing.assert_array_equal(out["thetas"], work["thetas"])
+
+    @given(obj=values)
+    @settings(max_examples=200)
+    def test_roundtrip_preserves_python_types(self, obj):
+        assert same(unpack(pack(obj)), obj)
+
+    @given(
+        strs=st.lists(st.text(max_size=12), min_size=1, max_size=20),
+        ints=st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1),
+                      min_size=1, max_size=20),
+    )
+    @settings(max_examples=100)
+    def test_homogeneous_lists_roundtrip(self, strs, ints):
+        assert pack(strs)[0:1] == b"S" and same(unpack(pack(strs)), strs)
+        assert pack(ints)[0:1] == b"I" and same(unpack(pack(ints)), ints)
+
+
+class TestMalformedPayloads:
+    """Every malformed payload raises CodecError, never another exception."""
+
+    @staticmethod
+    def _array_payload(dtype=b"<f8", shape=(2,), raw=b"\x00" * 16):
+        import struct
+
+        out = b"a" + struct.pack("<I", len(dtype)) + dtype
+        out += struct.pack("<I", len(shape))
+        out += b"".join(struct.pack("<q", d) for d in shape)
+        return out + struct.pack("<I", len(raw)) + raw
+
+    def test_array_payload_helper_is_well_formed(self):
+        np.testing.assert_array_equal(unpack(self._array_payload()), np.zeros(2))
+
+    def test_invalid_utf8_string_rejected(self):
+        with pytest.raises(CodecError, match="UTF-8"):
+            unpack(b"s\x02\x00\x00\x00\xff\xfe")
+
+    def test_invalid_utf8_in_str_list_rejected(self):
+        with pytest.raises(CodecError, match="UTF-8"):
+            unpack(b"S\x01\x00\x00\x00\x02\x00\x00\x00\xff\xfe")
+
+    def test_unknown_dtype_rejected(self):
+        with pytest.raises(CodecError, match="dtype"):
+            unpack(self._array_payload(dtype=b"zz9"))
+
+    def test_non_ascii_dtype_rejected(self):
+        with pytest.raises(CodecError, match="dtype"):
+            unpack(self._array_payload(dtype=b"\xff"))
+
+    def test_object_dtype_rejected(self):
+        with pytest.raises(CodecError, match="object"):
+            unpack(self._array_payload(dtype=b"|O"))
+
+    def test_raw_size_shape_mismatch_rejected(self):
+        with pytest.raises(CodecError, match="needs 24 bytes"):
+            unpack(self._array_payload(shape=(3,), raw=b"\x00" * 16))
+
+    def test_negative_dimension_rejected(self):
+        with pytest.raises(CodecError, match="negative"):
+            unpack(self._array_payload(shape=(-1,), raw=b"\x00" * 16))
+
+    def test_unhashable_dict_key_rejected(self):
+        bad = b"d\x01\x00\x00\x00" + pack([1, "x"]) + pack(None)
+        with pytest.raises(CodecError, match="unhashable"):
+            unpack(bad)
+
+    def test_deep_nesting_rejected(self):
+        with pytest.raises(CodecError, match="nests"):
+            unpack(b"l\x01\x00\x00\x00" * 100_000 + pack(None))
+
+    def test_malformed_message_frames_raise_codec_error(self):
+        from repro.mw.messages import decode_message
+
+        for obj in ([1, 2, 3], ("task", "x", None), ("nope", 0, None),
+                    ("task", -1, None), (1, 0, None)):
+            with pytest.raises(CodecError):
+                decode_message(pack(obj))

@@ -6,23 +6,29 @@ subprocess-level acceptance path is covered in test_campaign_tcp.py.
 """
 
 import socket
+import struct
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.mw import MWDriver
-from repro.mw.codec import CodecError, encode_frame
+from repro.mw.codec import MAX_FRAME_BYTES, CodecError, encode_frame
 from repro.mw.messages import (
+    MSG_HEARTBEAT,
     MSG_HELLO,
+    MSG_RESULT,
     MSG_SHUTDOWN,
     MSG_TASK,
     MSG_WELCOME,
     Message,
     encode_message,
 )
+from repro.mw.transport import EVENT_DIED, EVENT_JOINED
 from repro.mw.tcp import (
     PROTOCOL_VERSION,
+    TcpMasterTransport,
     TcpWorkerEndpoint,
     parse_tcp_url,
     recv_frame,
@@ -318,17 +324,21 @@ class TestShutdownAndRefusal:
             assert stats["rank"] is None
 
     def test_version_mismatch_is_refused(self):
+        """A version-1 worker cannot decode the version-2 list tags, so it
+        must be refused at the hello, not crash on its first task frame."""
+        assert PROTOCOL_VERSION == 2
         with tcp_driver(square, n_workers=1) as driver:
-            sock = socket.create_connection(
-                (driver.transport.host, driver.transport.port), timeout=5)
-            try:
-                send_frame(sock, Message(tag=MSG_HELLO, sender=0,
-                                         payload={"version": 999}))
-                reply = recv_frame(sock)
-                assert reply.tag == MSG_SHUTDOWN
-                assert "version" in reply.payload["reason"]
-            finally:
-                sock.close()
+            for version in (999, 1):
+                sock = socket.create_connection(
+                    (driver.transport.host, driver.transport.port), timeout=5)
+                try:
+                    send_frame(sock, Message(tag=MSG_HELLO, sender=0,
+                                             payload={"version": version}))
+                    reply = recv_frame(sock)
+                    assert reply.tag == MSG_SHUTDOWN
+                    assert reply.payload["reason"] == "protocol version mismatch"
+                finally:
+                    sock.close()
 
     def test_worker_without_any_executor_errors_cleanly(self):
         """No local override and no master wire spec -> a loud ValueError."""
@@ -389,3 +399,147 @@ class TestCapabilityHandshake:
             assert driver.transport.stats()["caps"] == {}
             assert driver.worker_caps(1) == frozenset()
         t.join(timeout=10)
+
+
+@pytest.fixture
+def master():
+    """A started master transport on an ephemeral port (no driver)."""
+    transport = TcpMasterTransport(
+        "tcp://127.0.0.1:0", square, n_workers=4,
+        seed_seqs=np.random.SeedSequence(0).spawn(4),
+        heartbeat_interval=0.05, heartbeat_timeout=0.25,
+    )
+    transport.start()
+    yield transport
+    transport.close()
+
+
+def raw_worker(transport):
+    """Handshake a bare socket (no worker threads); returns (sock, rank)."""
+    sock = socket.create_connection((transport.host, transport.port), timeout=5)
+    send_frame(sock, Message(tag=MSG_HELLO, sender=0,
+                             payload={"version": PROTOCOL_VERSION}))
+    welcome = recv_frame(sock)
+    assert welcome.tag == MSG_WELCOME
+    return sock, welcome.payload["rank"]
+
+
+def frame(message):
+    return encode_frame(encode_message(message))
+
+
+def result(rank, task_id):
+    return Message(tag=MSG_RESULT, sender=rank,
+                   payload={"task_id": task_id, "result": task_id * task_id})
+
+
+def poll_until(transport, predicate, timeout=5.0):
+    """Poll events until ``predicate(events so far)`` holds; returns them."""
+    events = []
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        events += transport.poll()
+        if predicate(events):
+            return events
+        time.sleep(0.01)
+    raise AssertionError(f"condition not met; events: {events}")
+
+
+class TestSelectorReceive:
+    """The master reads every worker on the driver's thread via a selector."""
+
+    def test_frame_split_across_writes_arrives_whole(self, master):
+        sock, rank = raw_worker(master)
+        try:
+            data = frame(result(rank, 7))
+            sock.sendall(data[:3])  # part of the length prefix only
+            assert master.recv(timeout=0.2) is None
+            sock.sendall(data[3:10])
+            assert master.recv(timeout=0.2) is None
+            sock.sendall(data[10:])
+            reply = master.recv(timeout=5)
+            assert reply == result(rank, 7)
+        finally:
+            sock.close()
+
+    def test_two_frames_in_one_write_arrive_in_order(self, master):
+        sock, rank = raw_worker(master)
+        try:
+            heartbeat = frame(Message(tag=MSG_HEARTBEAT, sender=rank))
+            sock.sendall(frame(result(rank, 1)) + heartbeat + frame(result(rank, 2)))
+            assert master.recv(timeout=5) == result(rank, 1)
+            assert master.recv(timeout=5) == result(rank, 2)
+            assert master.recv(timeout=0) is None
+        finally:
+            sock.close()
+
+    @pytest.mark.parametrize("garbage", [
+        struct.pack(">I", 5) + b"hello",               # undecodable payload
+        struct.pack(">I", MAX_FRAME_BYTES + 1),        # oversized length prefix
+    ], ids=["garbage", "oversized"])
+    def test_bad_stream_drops_only_that_rank(self, master, garbage):
+        bad, bad_rank = raw_worker(master)
+        good, good_rank = raw_worker(master)
+        try:
+            poll_until(master, lambda ev: len(ev) == 2)  # both joined
+            bad.sendall(garbage)
+            events = poll_until(master, lambda ev: ev)
+            assert events == [(EVENT_DIED, bad_rank)]
+            assert master.stats()["connected"] == [good_rank]
+            # the surviving rank still gets tasks and is still heard
+            master.send(good_rank, Message(tag=MSG_TASK, sender=0,
+                                           payload={"task_id": 3, "work": 3}))
+            assert recv_frame(good).payload == {"task_id": 3, "work": 3}
+            good.sendall(frame(result(good_rank, 3)))
+            assert master.recv(timeout=5) == result(good_rank, 3)
+            assert master.poll() == []
+        finally:
+            bad.close()
+            good.close()
+
+    def test_unread_heartbeats_keep_a_worker_alive(self, master):
+        """Heartbeats that queued in the kernel while the driver was busy
+        count at the next poll: no death after 2x the timeout unread."""
+        t, holder = start_worker(master.address, square)
+        poll_until(master, lambda ev: ev == [(EVENT_JOINED, 1)])
+        time.sleep(2 * master.heartbeat_timeout)  # driver "busy": no recv/poll
+        assert master.poll() == []
+        assert master.stats()["connected"] == [1]
+        master.close()
+        t.join(timeout=10)
+        assert holder["stats"]["rank"] == 1
+
+    def test_thread_count_does_not_grow_with_workers(self, master):
+        def settled(n_connected):
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline:
+                master.poll()
+                handshaking = any(t.name == "mw-tcp-handshake"
+                                  for t in threading.enumerate())
+                if len(master.stats()["connected"]) == n_connected and not handshaking:
+                    return threading.active_count()
+                time.sleep(0.01)
+            raise AssertionError(f"{n_connected} workers did not settle")
+
+        socks = [raw_worker(master)[0]]
+        try:
+            one = settled(1)
+            socks += [raw_worker(master)[0] for _ in range(3)]
+            assert settled(4) == one
+        finally:
+            for sock in socks:
+                sock.close()
+
+    def test_close_is_prompt(self, master):
+        t, _ = start_worker(master.address, square)
+        sock, _rank = raw_worker(master)
+        try:
+            poll_until(master, lambda ev: len(ev) == 2)
+            start = time.monotonic()
+            master.close()
+            assert time.monotonic() - start < 1.0
+            assert recv_frame(sock).tag == MSG_SHUTDOWN
+        finally:
+            sock.close()
+        t.join(timeout=10)
+        assert not t.is_alive()
