@@ -11,7 +11,7 @@ directory, then demonstrates the lifecycle the CLI exposes:
 Everything here maps 1:1 onto the CLI::
 
     python -m repro campaign run  DIR --algorithms PC MN --functions sphere rosenbrock \
-        --dims 3 --sigma0s 100 --n-seeds 5 --backend process
+        --dims 3 --sigma0s 100 --n-seeds 5 --backend mw --transport process
     python -m repro campaign status  DIR
     python -m repro campaign summary DIR
     python -m repro campaign compare DIR PC MN
@@ -49,8 +49,8 @@ def main() -> None:
     print("-- partial run (simulated interruption after 7 jobs) --")
     print(campaign.run(max_jobs=7))
 
-    print("\n-- resumed run on the process backend (skips completed jobs) --")
-    print(campaign.run(backend="process", chunksize=2))
+    print("\n-- resumed run on mw worker processes (skips completed jobs) --")
+    print(campaign.run(backend="mw", mw_transport="process", max_workers=2))
 
     print("\n-- per-cell summary --")
     summaries = campaign.summary()

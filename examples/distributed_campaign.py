@@ -6,13 +6,13 @@ multi-runner story from docs/CAMPAIGNS.md:
 
 1. two runner *processes* started on the same directory with the ``mw``
    backend (master-worker driver; worker crashes requeue their tasks) —
-   each re-reads the shared store between batches and sheds jobs the
-   other has already completed,
+   each claims small batches of jobs in the shared store before running
+   them, so the two partition the grid and no job runs twice,
 2. a ``watch``-style progress snapshot read from the directory while the
    runners work (here taken after they finish, since the demo jobs are
    fast),
-3. store compaction (duplicate records from overlapping runners and
-   resume cycles collapse to one line per job),
+3. store compaction (claim lines and superseded records collapse to one
+   line per job),
 4. the per-cell summary, byte-identical before and after compaction.
 
 Everything here maps 1:1 onto the CLI::
@@ -45,8 +45,7 @@ def runner_process(directory: Path) -> subprocess.Popen:
         [
             sys.executable, "-m", "repro", "campaign", "run", str(directory),
             "--backend", "mw", "--mw-transport", "process",
-            "--max-workers", "2", "--batch-size", "2",
-            "--stagger", "--progress",
+            "--max-workers", "2", "--batch-size", "2", "--progress",
         ],
         env=env,
     )

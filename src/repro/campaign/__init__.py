@@ -2,8 +2,8 @@
 
 The layer between one ``optimize()`` call and a paper-scale study:
 a declarative :class:`CampaignSpec` expands into :class:`Job` records with
-stable ids, a :class:`CampaignRunner` executes the pending ones on the
-serial/thread/process backends or distributes them through the
+stable ids, a :class:`CampaignRunner` executes the pending ones inline
+(``backend="serial"``) or distributes them through the
 :class:`~repro.mw.MWDriver` master-worker layer (``backend="mw"``), a
 :class:`ResultStore` records each outcome append-only (so interrupted
 campaigns resume instead of restarting), and the aggregation helpers

@@ -376,9 +376,9 @@ def slow_mw_job_executor(work: dict, context) -> dict:
     seconds **per underlying function call** the job performed, exactly
     the extra time a per-evaluation slowdown would have cost inline.
     Handed to a single worker via ``mw-worker --executor`` in the
-    *barriered* leg of the CI async-smoke job: every batch then waits out
-    the straggler's whole job, while the async leg only ever waits on one
-    of its evaluations at a time.
+    whole-job leg of the CI async-smoke job: the straggler then holds a
+    whole job, while the async leg only ever waits on one of its
+    evaluations at a time.
     """
     record = mw_job_executor(work, context)
     per_eval = float(os.environ.get("REPRO_EVAL_SLOW_S", "1.0"))

@@ -1,63 +1,45 @@
 """Multi-tenant campaign scheduling: one master, many campaigns, one fleet.
 
 The paper's MW layer multiplexes one master over many heterogeneous
-workers; a production service goes one step further and multiplexes many
-*campaigns* (tenants) over one worker fleet.  This module supplies both
-halves of that step:
+workers; ``campaign serve`` multiplexes many *campaigns* (tenants) over
+one worker fleet:
 
 * :class:`CampaignScheduler` — the pure dispatch policy, in the style of
   the megha/pigeon_sim scheduler: each tenant owns a **two-level queue**
   (high priority drains before low, FIFO within a band) and dispatch
   slots are shared by **deficit-weighted round-robin** — every slot, each
-  dispatchable tenant earns credit proportional to its configured weight
-  and the tenant with the largest accumulated deficit spends one unit.
-  Over any window the slot share of a backlogged tenant converges to
-  ``weight / total_weight`` and no non-empty queue waits more than
-  ``O(total_weight / weight)`` slots (bounded starvation).  Per-tenant
-  **inflight caps** and capability placement (``can_place``) are modelled
-  as ineligibility: a capped or unplaceable tenant earns no credit, so it
-  neither starves others nor banks an unfair burst for later.
-* :class:`MultiCampaignMaster` — the long-lived serve loop behind
-  ``python -m repro campaign serve DIR1 DIR2 …``: one
-  :class:`~repro.mw.driver.MWDriver` over one transport drains every
-  tenant's pending jobs concurrently.  Jobs are claimed from each
-  tenant's store under the usual leases (heartbeat-renewed, so a killed
-  master's jobs requeue), queued by priority band, dispatched through the
-  scheduler whenever the driver's non-blocking :meth:`~repro.mw.driver.
-  MWDriver.pump` beat (the PR-7 async seam) frees worker slots, and
-  recorded to each tenant's own store the moment they complete — no
-  barriers between tenants or batches.
+  dispatchable tenant earns credit proportional to its weight and the
+  tenant with the largest deficit spends one unit, so a backlogged
+  tenant's share converges to ``weight / total_weight`` with bounded
+  starvation.  **Inflight caps** and capability placement (``can_place``)
+  are modelled as ineligibility: a capped or unplaceable tenant earns no
+  credit, so it neither starves others nor banks a burst for later.
+* :class:`MultiCampaignMaster` — the runner's claim → dispatch → record
+  loop (:class:`~repro.campaign.runner._DispatchLoop`) with one tenant
+  per directory, all sharing one :class:`~repro.mw.driver.MWDriver`.
 
 Placement is constraint-checked twice: the scheduler only offers a job
 when an idle worker's capability vector covers it, and the driver's
 :meth:`~repro.mw.driver.MWDriver._pick_worker` enforces the same rule at
-dispatch (constraints are hard; affinity fallbacks are counted in
-``repro_sched_fallbacks_total``).  All scheduler decisions surface as
-``repro_sched_*`` series; ``campaign serve --status`` renders the
-per-tenant view.
+dispatch.  Decisions surface as ``repro_sched_*`` series; ``campaign
+serve --status`` renders the per-tenant view.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.campaign.runner import (
     DEFAULT_LEASE_TTL,
-    CampaignReport,
-    CampaignRunner,
-    _LeaseHeartbeat,
     Campaign,
+    CampaignReport,
+    _DispatchLoop,
     default_runner_id,
-    validate_mw_transport,
 )
-from repro.campaign.execution import RUN_ID_ENV
-from repro.campaign.spec import PRIORITIES, Job
+from repro.campaign.spec import PRIORITIES
 from repro.telemetry import Telemetry
 
 __all__ = [
@@ -180,10 +162,6 @@ class CampaignScheduler:
         """Queued items across every tenant."""
         return sum(t.depth() for t in self.tenants.values())
 
-    def inflight(self) -> int:
-        """Dispatched-but-incomplete items across every tenant."""
-        return sum(t.inflight for t in self.tenants.values())
-
     # -- the slot auction --------------------------------------------------
 
     def select(
@@ -209,20 +187,17 @@ class CampaignScheduler:
             if not tenant.depth():
                 continue
             if not tenant.under_cap():
-                self.telemetry.counter(
-                    "repro_sched_blocked_total",
-                    "Dispatch slots a tenant with queued work could not take.",
-                    tenant=tenant.name, reason="inflight_cap",
-                ).inc()
+                blocked = "inflight_cap"
+            elif can_place is not None and not can_place(tenant.peek()):
+                blocked = "no_capable_worker"
+            else:
+                competitors.append(tenant)
                 continue
-            if can_place is not None and not can_place(tenant.peek()):
-                self.telemetry.counter(
-                    "repro_sched_blocked_total",
-                    "Dispatch slots a tenant with queued work could not take.",
-                    tenant=tenant.name, reason="no_capable_worker",
-                ).inc()
-                continue
-            competitors.append(tenant)
+            self.telemetry.counter(
+                "repro_sched_blocked_total",
+                "Dispatch slots a tenant with queued work could not take.",
+                tenant=tenant.name, reason=blocked,
+            ).inc()
         if not competitors:
             return None
         total_weight = sum(t.weight for t in competitors)
@@ -250,99 +225,17 @@ class CampaignScheduler:
             raise ValueError(f"tenant {name!r} has no inflight items")
         tenant.inflight -= 1
 
-    def stats(self) -> List[dict]:
-        """Per-tenant scheduling rows (queue depths, deficit, dispatch tally)."""
-        return [
-            {
-                "tenant": t.name,
-                "weight": t.weight,
-                "high": len(t.high),
-                "low": len(t.low),
-                "inflight": t.inflight,
-                "max_inflight": t.max_inflight,
-                "dispatched": t.dispatched,
-                "deficit": t.deficit,
-            }
-            for t in self.tenants.values()
-        ]
 
-
-class _ServeLeaseHeartbeat(_LeaseHeartbeat):
-    """A lease heartbeat over a *changing* id set (one per served tenant).
-
-    The runner's heartbeat renews a fixed batch; a serve loop claims and
-    records continuously, so this variant re-reads the tenant's live
-    claimed-id snapshot each beat.  An empty snapshot beats for free.
-    """
-
-    def __init__(self, store, ids_fn: Callable[[], List[str]], runner: str,
-                 ttl: float, telemetry=None) -> None:
-        self._ids_fn = ids_fn
-        super().__init__(store, [], runner, ttl, telemetry=telemetry)
-
-    def _renew_once(self) -> None:
-        ids = self._ids_fn()
-        if ids:
-            self._store.renew(ids, self._runner, self._ttl)
-
-
-class _Tenant:
-    """Runtime state of one campaign being served (master-internal)."""
-
-    def __init__(self, campaign: Campaign, runner: CampaignRunner,
-                 weight: float, max_inflight: Optional[int]) -> None:
-        self.campaign = campaign
-        self.runner = runner
-        self.name = campaign.spec.name
-        self.weight = weight
-        self.max_inflight = max_inflight
-        self.counts = {"done": 0, "failed": 0, "shed": 0, "leased": 0}
-        self.backlog: Deque[Job] = deque()
-        self.n_total = 0
-        self.n_skipped = 0
-        self.claimed: Set[str] = set()
-        self.lock = threading.Lock()
-        self.heartbeat: Optional[_ServeLeaseHeartbeat] = None
-
-    def claimed_ids(self) -> List[str]:
-        """Snapshot of ids claimed but not yet recorded (heartbeat input)."""
-        with self.lock:
-            return list(self.claimed)
-
-    def add_claimed(self, ids: Sequence[str]) -> None:
-        """Track freshly granted claims."""
-        with self.lock:
-            self.claimed.update(ids)
-
-    def drop_claimed(self, ids: Sequence[str]) -> None:
-        """Stop tracking ids that were recorded or released."""
-        with self.lock:
-            self.claimed.difference_update(ids)
-
-    def report(self, interrupted: bool = False) -> CampaignReport:
-        """This tenant's :class:`CampaignReport` for the serve call."""
-        return CampaignReport(
-            n_total=self.n_total,
-            n_skipped=self.n_skipped,
-            n_run=self.counts["done"] + self.counts["failed"],
-            n_done=self.counts["done"],
-            n_failed=self.counts["failed"],
-            n_shed=self.counts["shed"],
-            n_leased=self.counts["leased"],
-            interrupted=interrupted,
-        )
-
-
-class MultiCampaignMaster:
+class MultiCampaignMaster(_DispatchLoop):
     """One long-lived master draining many campaign directories.
 
-    Builds one :class:`~repro.mw.driver.MWDriver` on ``transport`` and
-    serves every directory's pending jobs through a
-    :class:`CampaignScheduler`: claims ride each tenant's own store
-    leases (heartbeat-renewed; a killed master's claims expire and
-    requeue), placement honours each job's constraint vector against the
-    workers' declared capability vectors, and completed records append to
-    the tenant's own store as they arrive.
+    The :class:`~repro.campaign.runner._DispatchLoop` ``campaign run``
+    uses, with one tenant per directory over one mw driver on
+    ``transport``: each tenant claims rolling batches from its own store
+    under leases, a :class:`CampaignScheduler` shares free worker slots
+    out by deficit-weighted round-robin, placement honours each job's
+    constraint vector, and a finished job is recorded in its tenant's
+    store at the end of the pump beat it finishes in.
 
     Parameters
     ----------
@@ -350,21 +243,21 @@ class MultiCampaignMaster:
         Campaign directories (each with ``spec.json``); tenant names —
         the spec names — must be unique across them.
     transport:
-        mw transport spec for the shared fleet: ``process`` (default),
-        ``threaded``, ``inproc``, or a ``tcp://host:port`` listen URL
-        (heterogeneous ``mw-worker --caps`` workers connect there).
+        Shared fleet transport: ``process`` (default), ``threaded``,
+        ``inproc``, or a ``tcp://host:port`` listen URL (heterogeneous
+        ``mw-worker --caps`` workers connect there).
     max_workers:
-        Worker rank slots (default: CPU count).
+        Worker rank slots (default: CPU count; without ``worker_caps`` a
+        local fleet spawns no more workers than pending jobs).
     weights / quotas:
         Per-tenant overrides (``{name: weight}`` / ``{name:
-        max_inflight}``) of the specs' ``weight`` / ``max_inflight``
-        scheduling fields.
+        max_inflight}``) of the specs' scheduling fields.
     worker_caps:
         ``{rank: [capability, …]}`` for the same-host transports (TCP
         workers declare their own caps in the hello handshake).
     batch_size:
         Jobs claimed per top-up, per tenant — the lease granularity.
-    lease / lease_ttl / runner_id / mw_max_retries / telemetry:
+    lease_ttl / runner_id / mw_max_retries / telemetry:
         As in :class:`~repro.campaign.runner.CampaignRunner`.
     """
 
@@ -377,7 +270,6 @@ class MultiCampaignMaster:
         quotas: Optional[Mapping[str, int]] = None,
         worker_caps: Optional[Mapping[int, Sequence[str]]] = None,
         batch_size: int = 8,
-        lease: bool = True,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         mw_max_retries: int = 2,
         runner_id: Optional[str] = None,
@@ -385,23 +277,17 @@ class MultiCampaignMaster:
     ) -> None:
         if not directories:
             raise ValueError("campaign serve needs at least one directory")
-        validate_mw_transport(transport)
-        self.transport = transport
-        self.max_workers = max_workers
-        self.worker_caps = dict(worker_caps or {})
-        self.batch_size = max(1, int(batch_size))
-        self.lease = bool(lease)
-        self.lease_ttl = float(lease_ttl)
-        self.mw_max_retries = int(mw_max_retries)
-        self.runner_id = runner_id or default_runner_id()
+        runner_id = runner_id or default_runner_id()
         if telemetry is None:
-            telemetry = Telemetry.from_env(
-                Path(directories[0]), runner=self.runner_id
-            )
-        self.telemetry = telemetry
+            telemetry = Telemetry.from_env(Path(directories[0]), runner=runner_id)
+        super().__init__(
+            "job", label=transport, batch_size=batch_size, lease_ttl=lease_ttl,
+            runner_id=runner_id, telemetry=telemetry, transport=transport,
+            max_workers=max_workers, mw_max_retries=mw_max_retries,
+            worker_caps=worker_caps,
+        )
         weights = dict(weights or {})
         quotas = dict(quotas or {})
-        self.tenants: Dict[str, _Tenant] = {}
         for directory in directories:
             campaign = Campaign(directory)
             name = campaign.spec.name
@@ -410,15 +296,11 @@ class MultiCampaignMaster:
                     f"duplicate tenant name {name!r} (in {directory}); "
                     f"spec names must be unique under one serve master"
                 )
-            runner = CampaignRunner(
-                campaign.spec, campaign.store,
-                lease=self.lease, lease_ttl=self.lease_ttl,
-                runner_id=self.runner_id, telemetry=self.telemetry,
-            )
-            self.tenants[name] = _Tenant(
-                campaign, runner,
+            self.add_tenant(
+                campaign.spec, campaign.store, campaign.jobs(),
                 weight=float(weights.get(name, campaign.spec.weight)),
                 max_inflight=quotas.get(name, campaign.spec.max_inflight),
+                campaign=campaign,
             )
         unknown = (set(weights) | set(quotas)) - set(self.tenants)
         if unknown:
@@ -426,136 +308,6 @@ class MultiCampaignMaster:
                 f"--weight/--quota name(s) {sorted(unknown)} match no tenant; "
                 f"tenants: {sorted(self.tenants)}"
             )
-        self.scheduler = CampaignScheduler(telemetry=self.telemetry)
-        for tenant in self.tenants.values():
-            self.scheduler.add_tenant(tenant.name, weight=tenant.weight,
-                                      max_inflight=tenant.max_inflight)
-        self.driver = None  # built in serve()
-        self._inflight: Dict[int, Tuple[_Tenant, Job, Any]] = {}
-
-    # -- serve loop --------------------------------------------------------
-
-    def _build_driver(self):
-        """Construct the shared MW driver for the fleet."""
-        import os as _os
-
-        from repro.campaign.execution import mw_job_executor
-        from repro.mw.driver import MWDriver
-
-        n_workers = self.max_workers or _os.cpu_count() or 2
-        options: Dict[str, Any] = {}
-        if self.worker_caps and self.transport in ("inproc", "threaded", "process"):
-            options["worker_caps"] = self.worker_caps
-        return MWDriver(
-            mw_job_executor,
-            n_workers=max(1, int(n_workers)),
-            backend=self.transport,
-            max_retries=self.mw_max_retries,
-            seed=0,
-            transport_options=options or None,
-            telemetry=self.telemetry,
-        )
-
-    def _load_backlogs(self) -> None:
-        """Expand each tenant's grid and drop what its store already holds."""
-        for tenant in self.tenants.values():
-            jobs = tenant.campaign.jobs()
-            done = tenant.campaign.store.completed_ids()
-            tenant.n_total = len(jobs)
-            pending = [job for job in jobs if job.job_id not in done]
-            tenant.n_skipped = tenant.n_total - len(pending)
-            tenant.backlog.extend(pending)
-
-    def _top_up(self, tenant: _Tenant) -> None:
-        """Claim another batch into the tenant's queue when it runs low."""
-        while tenant.backlog and self.scheduler.depth(tenant.name) < self.batch_size:
-            batch = [
-                tenant.backlog.popleft()
-                for _ in range(min(self.batch_size, len(tenant.backlog)))
-            ]
-            if self.lease:
-                batch = tenant.runner._claim_batch(batch, tenant.counts)
-            if not batch:
-                continue
-            tenant.add_claimed([job.job_id for job in batch])
-            for job in batch:
-                self.scheduler.enqueue(tenant.name, job, priority=job.priority)
-
-    def _idle_caps(self) -> List[frozenset]:
-        """Capability vectors of the driver's currently idle live ranks."""
-        driver = self.driver
-        return [
-            driver.worker_caps(rank)
-            for rank in driver._idle
-            if driver._alive.get(rank, False)
-        ]
-
-    def _fill_slots(self) -> int:
-        """Offer free worker slots to the scheduler; submit what it grants."""
-        submitted = 0
-        avail = self._idle_caps()
-        # On a static fleet a job no *live* worker can ever satisfy must
-        # not queue forever: pass it through to the driver, whose
-        # unmatchable-constraint check fails it with a clear error.  On a
-        # dynamic (tcp) fleet it waits — a capable worker may yet join.
-        static = not self.driver.transport.dynamic
-        live_caps = [
-            self.driver.worker_caps(rank)
-            for rank, alive in self.driver._alive.items() if alive
-        ] if static else []
-
-        def can_place(job: Job) -> bool:
-            need = frozenset(job.constraints)
-            if any(need <= caps for caps in avail):
-                return True
-            return static and not any(need <= caps for caps in live_caps)
-
-        while True:
-            selected = self.scheduler.select(can_place)
-            if selected is None:
-                break
-            name, job = selected
-            # Mirror the driver's choice (fewest-caps eligible worker) so
-            # the local availability bookkeeping tracks what dispatch will
-            # actually consume.
-            need = frozenset(job.constraints)
-            matching = [caps for caps in avail if need <= caps]
-            if matching:
-                avail.remove(min(matching, key=len))
-            task = self.driver.submit(job.to_dict(), constraints=job.constraints)
-            self._inflight[task.task_id] = (self.tenants[name], job, task)
-            submitted += 1
-        return submitted
-
-    def _harvest(self) -> int:
-        """Record finished tasks to their tenants' stores; free their slots."""
-        finished = [
-            (task_id, tenant, job, task)
-            for task_id, (tenant, job, task) in self._inflight.items()
-            if task.done or task.failed
-        ]
-        per_tenant: Dict[str, List[dict]] = {}
-        for task_id, tenant, job, task in finished:
-            del self._inflight[task_id]
-            record = (
-                task.result if task.done
-                else CampaignRunner._mw_failure_record(job, task)
-            )
-            per_tenant.setdefault(tenant.name, []).append(record)
-            self.scheduler.mark_complete(tenant.name)
-        for name, records in per_tenant.items():
-            tenant = self.tenants[name]
-            tenant.runner._record_batch(records, tenant.counts)
-            tenant.drop_claimed([r["job_id"] for r in records])
-        return len(finished)
-
-    def _drained(self) -> bool:
-        """Whether every tenant's backlog, queue, and inflight set is empty."""
-        return (
-            not self._inflight
-            and self.scheduler.queued() == 0
-            and all(not t.backlog for t in self.tenants.values())
-        )
 
     def serve(self, poll_interval: float = 0.05,
               timeout: Optional[float] = None,
@@ -563,119 +315,24 @@ class MultiCampaignMaster:
               ) -> Dict[str, CampaignReport]:
         """Drain every tenant; returns ``{tenant: CampaignReport}``.
 
-        Runs until all tenants' pending jobs are recorded (or shed /
-        leased to peers), pumping the driver between top-ups so tenants'
-        jobs interleave without barriers.  ``timeout`` bounds the whole
-        serve in real seconds (``TimeoutError``) — on a TCP transport the
-        master otherwise waits indefinitely for capable workers.
-        ``on_start`` is called with the driver once the transport is live
-        (the CLI prints the bound tcp address from it).  On any exit
-        (including interrupt) heartbeats stop and unfulfilled claims are
-        released, so peers can pick the jobs up immediately.
+        ``timeout`` bounds the serve in real seconds (``TimeoutError``) —
+        on tcp the master otherwise waits for capable workers forever.
+        ``on_start`` receives the driver once its transport is live (the
+        CLI prints the bound tcp address); nothing pending builds no
+        driver.  On any exit finished records are flushed and other
+        claims released; an interrupt is then re-raised, and
+        ``tenants[name].report(interrupted=True)`` reads what was done.
         """
-        deadline = None if timeout is None else time.monotonic() + float(timeout)
-        t0 = time.monotonic()
-        self._load_backlogs()
-        saved_run_env = os.environ.get(RUN_ID_ENV)
-        if self.telemetry.enabled:
-            # Executing processes stamp this serve's run id into their
-            # audit lines and store records, same as a single-runner run.
-            os.environ[RUN_ID_ENV] = self.telemetry.run_id
-            self.telemetry.event(
-                "run_start",
-                campaign=",".join(self.tenants),
-                backend=self.transport,
-                n_total=sum(t.n_total for t in self.tenants.values()),
-                n_skipped=sum(t.n_skipped for t in self.tenants.values()),
-            )
-        self.driver = self._build_driver()
-        if on_start is not None:
-            on_start(self.driver)
-        if self.lease:
-            for tenant in self.tenants.values():
-                tenant.heartbeat = _ServeLeaseHeartbeat(
-                    tenant.campaign.store, tenant.claimed_ids, self.runner_id,
-                    self.lease_ttl, telemetry=self.telemetry,
-                )
-        interrupted = False
-        try:
-            with self.telemetry.span(
-                "serve", tenants=len(self.tenants), transport=self.transport
-            ):
-                while not self._drained():
-                    for tenant in self.tenants.values():
-                        self._top_up(tenant)
-                    self._fill_slots()
-                    self.driver.pump(poll_interval)
-                    self._harvest()
-                    if deadline is not None and time.monotonic() > deadline:
-                        raise TimeoutError(
-                            f"serve timed out with {len(self._inflight)} "
-                            f"task(s) inflight and "
-                            f"{self.scheduler.queued()} queued"
-                        )
-                if self.telemetry.enabled:
-                    self.telemetry.event("workers", workers=self.driver.utilization())
-        except BaseException:
-            interrupted = True
-            raise
-        finally:
-            for tenant in self.tenants.values():
-                if tenant.heartbeat is not None:
-                    tenant.heartbeat.stop()
-                    tenant.heartbeat = None
-                leftover = tenant.claimed_ids()
-                if leftover:
-                    tenant.runner._release_quietly(leftover)
-                    tenant.drop_claimed(leftover)
-            self.driver.shutdown()
-            if self.telemetry.enabled:
-                if saved_run_env is None:
-                    os.environ.pop(RUN_ID_ENV, None)
-                else:
-                    os.environ[RUN_ID_ENV] = saved_run_env
-                self.telemetry.event(
-                    "run_end",
-                    done=sum(t.counts["done"] for t in self.tenants.values()),
-                    failed=sum(t.counts["failed"] for t in self.tenants.values()),
-                    shed=sum(t.counts["shed"] for t in self.tenants.values()),
-                    leased=sum(t.counts["leased"] for t in self.tenants.values()),
-                    elapsed_s=time.monotonic() - t0,
-                    interrupted=interrupted,
-                )
-                self.telemetry.write_metrics()
-        return {
-            name: tenant.report(interrupted=interrupted)
-            for name, tenant in self.tenants.items()
-        }
-
-    def status(self) -> List[dict]:
-        """Per-tenant scheduling + store status rows (the ``--status`` view)."""
-        sched = {row["tenant"]: row for row in self.scheduler.stats()}
-        rows = []
-        for name, tenant in self.tenants.items():
-            row = tenant.campaign.status()
-            row.pop("cells", None)
-            row.update(
-                weight=tenant.weight,
-                max_inflight=tenant.max_inflight,
-                priority=tenant.campaign.spec.priority,
-                constraints=list(tenant.campaign.spec.constraints),
-            )
-            row.update({
-                k: v for k, v in sched.get(name, {}).items()
-                if k in ("high", "low", "inflight", "dispatched")
-            })
-            rows.append(row)
-        return rows
+        self._drain(timeout=timeout, on_start=on_start, poll_interval=poll_interval)
+        return {name: tenant.report() for name, tenant in self.tenants.items()}
 
 
 def serve_status(directories: Sequence[Any]) -> List[dict]:
     """One-shot ``campaign serve --status`` rows, without starting a master.
 
-    Reads each directory's spec and store and reports the same columns a
-    running master would: job progress plus the scheduling policy fields
-    (weight, priority, constraints, inflight cap).
+    Reads each directory's spec and store and reports job progress plus
+    the scheduling policy fields (weight, priority, constraints, inflight
+    cap).
     """
     rows = []
     for directory in directories:

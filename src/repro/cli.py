@@ -15,9 +15,10 @@ Subcommands:
   :mod:`repro.campaign` and ``docs/CAMPAIGNS.md``.
   ``run --backend mw`` distributes jobs through the :mod:`repro.mw`
   master-worker layer, and several runner processes pointed at the same
-  directory cooperatively drain one campaign — claim leases (on by
-  default; ``--lease-ttl``, ``--no-lease``) guarantee exactly one runner
-  executes each job.  ``--store jsonl|jsonl:N|sqlite|store://host:port``
+  directory cooperatively drain one campaign — claim leases
+  (``--lease-ttl``) guarantee exactly one runner executes each job.
+  ``run`` and ``serve`` share one claim → dispatch → record loop: ``run``
+  is a one-tenant serve.  ``--store jsonl|jsonl:N|sqlite|store://host:port``
   picks the result store engine (``--shards N`` is shorthand for
   ``jsonl:N``; ``store://`` talks to a ``campaign store-serve`` process
   over TCP, so runners need no shared filesystem); ``campaign
@@ -201,40 +202,27 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     backend = args.backend
     if backend is None:
         backend = "mw" if args.async_mode else "serial"
-    if args.async_mode and backend != "mw":
-        print("error: --async schedules through the mw driver; "
-              "drop --backend or pass --backend mw", file=sys.stderr)
+    # Bad options (--batch-size 0, --async with --backend serial, a typo'd
+    # --transport, non-JSON mw options) raise ValueError before any claim.
+    try:
+        report = campaign.run(
+            backend=backend,
+            max_workers=args.max_workers,
+            batch_size=args.batch_size,
+            max_jobs=args.max_jobs,
+            mw_transport=args.mw_transport,
+            mw_affinity=args.mw_affinity,
+            async_mode=args.async_mode,
+            max_inflight=args.max_inflight,
+            eval_batch=args.eval_batch,
+            flush_interval=args.flush_interval,
+            lease_ttl=(DEFAULT_LEASE_TTL if args.lease_ttl is None
+                       else args.lease_ttl),
+            progress=progress_cb,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.eval_batch > 1 and not args.async_mode:
-        print("error: --eval-batch batches ask/tell proposals, which only "
-              "exist under --async", file=sys.stderr)
-        return 2
-    if backend == "mw":
-        from repro.campaign.runner import validate_mw_transport
-
-        try:
-            validate_mw_transport(args.mw_transport)
-        except ValueError as exc:  # a typo'd --transport fails up front
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    report = campaign.run(
-        backend=backend,
-        max_workers=args.max_workers,
-        chunksize=args.chunksize,
-        batch_size=args.batch_size,
-        max_jobs=args.max_jobs,
-        mw_transport=args.mw_transport,
-        mw_affinity=args.mw_affinity,
-        async_mode=args.async_mode,
-        max_inflight=args.max_inflight,
-        eval_batch=args.eval_batch,
-        flush_interval=args.flush_interval,
-        stagger=args.stagger,
-        lease=args.lease,
-        lease_ttl=(DEFAULT_LEASE_TTL if args.lease_ttl is None
-                   else args.lease_ttl),
-        progress=progress_cb,
-    )
     print(f"campaign  : {campaign.spec.name}")
     print(f"directory : {campaign.directory}")
     print(f"backend   : {backend}" + (" (async)" if args.async_mode else ""))
@@ -312,7 +300,6 @@ def _cmd_campaign_serve(args: argparse.Namespace) -> int:
             quotas=quotas,
             worker_caps=worker_caps,
             batch_size=args.batch_size,
-            lease=args.lease,
             lease_ttl=(DEFAULT_LEASE_TTL if args.lease_ttl is None
                        else args.lease_ttl),
             mw_max_retries=args.mw_max_retries,
@@ -721,9 +708,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_crun.add_argument("--walltime", type=float, default=3e4)
     p_crun.add_argument("--max-steps", type=int, default=600)
     p_crun.add_argument("--backend", default=None,
-                        choices=["serial", "thread", "process", "mw"],
-                        help="mw dispatches jobs through the master-worker "
-                             "driver (default: serial, or mw with --async)")
+                        choices=["serial", "mw"],
+                        help="serial runs jobs inline; mw dispatches them "
+                             "through the master-worker driver (default: "
+                             "serial, or mw with --async)")
     p_crun.add_argument("--async", dest="async_mode", action="store_true",
                         help="barrier-free mw scheduling: every job's ask/tell "
                              "proposals share the worker pool, replies are "
@@ -746,10 +734,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "may wait in the coalescing buffer before a "
                              "record_many flush (default 2.0)")
     p_crun.add_argument("--max-workers", type=int, default=None)
-    p_crun.add_argument("--chunksize", type=int, default=1,
-                        help="jobs per IPC message on the process backend")
     p_crun.add_argument("--batch-size", type=int, default=None,
-                        help="jobs between store writes (resume granularity)")
+                        help="jobs per claim: serial records each claimed "
+                             "batch with one store write, mw keeps this many "
+                             "claimed jobs queued (async: open)")
     p_crun.add_argument("--max-jobs", type=int, default=None,
                         help="stop after this many jobs (smoke tests / partial runs)")
     p_crun.add_argument("--transport", "--mw-transport", dest="mw_transport",
@@ -772,21 +760,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "result store into N results-<k>.jsonl files "
                              "(migrates a legacy single-file store in place; "
                              "existing sharded stores auto-detect)")
-    p_crun.add_argument("--no-lease", dest="lease", action="store_false",
-                        help="disable claim leases and fall back to the "
-                             "stagger+shed heuristic (duplicate in-flight "
-                             "work possible)")
     p_crun.add_argument("--lease-ttl", type=float, default=None,
                         metavar="SECONDS",
                         help="seconds a claim survives without renewal — how "
                              "long a killed runner's jobs stay unavailable "
                              "(default 60)")
-    p_crun.add_argument("--stagger", action="store_true",
-                        help="start at a PID-derived grid offset so concurrent "
-                             "runners drain disjoint regions (the --no-lease "
-                             "fallback; harmless with leases)")
     p_crun.add_argument("--progress", action="store_true",
-                        help="print a heartbeat line after every recorded batch")
+                        help="print a heartbeat line after every record flush")
     p_crun.add_argument("--telemetry", action="store_true",
                         help="record metrics and a job-lifecycle trace into "
                              "<dir>/telemetry.jsonl (same as $REPRO_TELEMETRY=1; "
@@ -823,9 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmulti.add_argument("--batch-size", type=int, default=8,
                           help="jobs claimed per top-up per tenant (lease "
                                "granularity; default 8)")
-    p_cmulti.add_argument("--no-lease", dest="lease", action="store_false",
-                          help="disable claim leases (single-master setups "
-                               "only; peers may duplicate work)")
     p_cmulti.add_argument("--lease-ttl", type=float, default=None,
                           metavar="SECONDS",
                           help="seconds a claim survives without renewal "

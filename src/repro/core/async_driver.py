@@ -1,15 +1,14 @@
 """Asynchronous evaluation driver: many ask/tell sources, one worker pool.
 
-The barriered campaign path runs each job start-to-finish on one worker and
-waits for whole batches (``MWDriver.wait_all``).  This module kills that
-barrier: every optimizer is opened through its ask/tell seam
-(:mod:`repro.core.base`), each proposal becomes its own mw task (or rides a
-batched frame of up to ``eval_batch`` proposals), and a single scheduling
-loop keeps up to ``max_inflight`` evaluations in flight *across all jobs at
-once*.  While one job's round waits on a straggler, the other
-jobs' proposals keep the remaining workers busy — a slow node degrades
-throughput by one worker instead of stalling every job at an iteration
-barrier.
+The whole-job campaign path runs each job start-to-finish on one worker,
+so a straggler holds a whole job and every step of it.  This module drops
+the unit of work to one evaluation: every optimizer is opened through its
+ask/tell seam (:mod:`repro.core.base`), each proposal becomes its own mw
+task (or rides a batched frame of up to ``eval_batch`` proposals), and a
+single scheduling loop keeps up to ``max_inflight`` evaluations in flight
+*across all jobs at once*.  While one job's round waits on a straggler,
+the other jobs' proposals keep the remaining workers busy — a slow node
+degrades throughput by one worker instead of stalling a job's every step.
 
 The loop is three beats, repeated until every source is finalized:
 
@@ -97,9 +96,12 @@ class AsyncEvalDriver:
         Optional :class:`~repro.telemetry.Telemetry`; defaults to the no-op.
     heartbeat:
         Optional zero-argument callable invoked roughly every
-        ``heartbeat_interval`` seconds from the scheduling loop (the campaign
-        runner uses it to emit ``workers`` telemetry events for
-        ``watch --cells``).
+        ``heartbeat_interval`` seconds from the scheduling loop, after the
+        beat's finished sources were reported.  The campaign runner passes
+        ``heartbeat_interval=0`` to run it every beat: it flushes records,
+        appends freshly claimed sources to the live ``sources`` list (the
+        loop picks them up on its next beat), and emits ``workers``
+        telemetry events for ``watch --cells``.
     eval_batch:
         Proposals per mw frame (``--eval-batch q``).  At the default 1
         every proposal is its own task, exactly as before.  At ``q > 1``

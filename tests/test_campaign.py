@@ -351,18 +351,6 @@ class TestRunner:
 
         assert results_by_id(interrupted) == results_by_id(reference)
 
-    def test_process_backend_matches_serial(self, tmp_path):
-        spec = small_spec()
-        serial = ResultStore()
-        CampaignRunner(spec, serial).run()
-        proc = ResultStore()
-        CampaignRunner(
-            spec, proc, backend="process", max_workers=2, chunksize=2
-        ).run()
-        a = {r["job_id"]: r["result"] for r in serial.records()}
-        b = {r["job_id"]: r["result"] for r in proc.records()}
-        assert a == b
-
     def test_failed_jobs_are_retried_on_resume(self):
         spec = small_spec(
             overrides=[{"where": {"seed": 1, "label": "DET"}, "options": {"bogus": 1}}]

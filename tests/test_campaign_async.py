@@ -1,7 +1,7 @@
 """Straggler / loss chaos tests for the async campaign path.
 
-The barriered mw path waits for whole batches; the async path
-(:meth:`CampaignRunner._run_async` over
+The whole-job mw path runs each job on one worker; the async path (the
+runner's ``eval`` work units over one
 :class:`~repro.core.async_driver.AsyncEvalDriver`) farms individual ask/tell
 proposals to the worker pool.  These tests inject faults at that proposal
 granularity through the execution chaos seams:
@@ -107,6 +107,33 @@ class TestAsyncCampaign:
         assert second.n_skipped == 2
         assert second.n_done == 2
         assert campaign.status()["done"] == 4
+
+    def test_rolling_claims_do_not_wait_for_a_long_job(self, tmp_path):
+        """A short job claimed after the first batch is recorded while the
+        long job of that first batch still runs: claims roll instead of
+        waiting at a per-batch barrier."""
+        import json
+
+        # seed 0 contracts slowly (beta 0.98) and runs ~250 steps; the
+        # other seeds converge in ~20
+        spec = async_spec(
+            n_seeds=6, algorithms=["DET"], sigma0s=[0.0], tau=1e-3,
+            max_steps=400,
+            overrides=[{"where": {"seed": 0}, "options": {"beta": 0.98}}],
+        )
+        jobs = spec.expand()
+        campaign = Campaign(tmp_path / "camp", spec=spec)
+        report = campaign.run(
+            backend="mw", mw_transport="threaded", async_mode=True,
+            max_workers=2, batch_size=2,
+        )
+        assert report.n_done == 6
+        lines = (tmp_path / "camp" / "results.jsonl").read_text().splitlines()
+        recorded = [rec["job_id"] for rec in map(json.loads, lines)
+                    if rec["status"] == "done"]
+        long_job, first_claim = jobs[0].job_id, {j.job_id for j in jobs[:2]}
+        later = [i for i, job_id in enumerate(recorded) if job_id not in first_claim]
+        assert later and later[0] < recorded.index(long_job), recorded
 
     def test_async_requires_mw_backend(self, tmp_path):
         from repro.campaign import CampaignRunner, open_store
@@ -344,3 +371,7 @@ class TestBatchedEvaluation:
                 backend="mw", mw_transport="threaded",
                 async_mode=True, flush_interval=0.0,
             )
+        for backend, batch_size in (("serial", 0), ("serial", -1), ("mw", 0)):
+            with pytest.raises(ValueError, match="batch_size"):
+                campaign.run(backend=backend, mw_transport="threaded",
+                             async_mode=backend == "mw", batch_size=batch_size)

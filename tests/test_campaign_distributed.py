@@ -79,6 +79,18 @@ class TestMWBackend:
         assert report.n_done == 6
         assert {r["job_id"]: r["result"] for r in store.records()} == reference_results(spec)
 
+    @pytest.mark.parametrize("async_mode", [False, True])
+    def test_runner_ignores_spec_constraints(self, async_mode):
+        """``campaign run`` has no worker capabilities, so a spec's
+        constraints (serve placement policy) do not hold its jobs back."""
+        spec = small_spec(constraints=["gpu"])
+        store = ResultStore()
+        report = CampaignRunner(
+            spec, store, backend="mw", mw_transport="inproc", max_workers=2,
+            async_mode=async_mode,
+        ).run()
+        assert report.n_done == 6 and report.n_failed == 0
+
     def test_mw_affinity_pins_jobs_round_robin(self):
         spec = small_spec()
         store = ResultStore()
@@ -176,40 +188,6 @@ class TestCooperativeDraining:
         assert report.n_remaining == 0
         assert result_lines(tmp_path / "r.jsonl") == 6  # shed job not re-executed
         assert "shed to peers" in str(report)
-
-    def test_stagger_rotates_execution_order(self, tmp_path):
-        """A staggered runner starts at a PID-derived grid offset (but
-        still completes everything and records the same results)."""
-        import json
-
-        spec = small_spec()
-        jobs = spec.expand()
-        store = ResultStore(tmp_path / "r.jsonl")
-        report = CampaignRunner(spec, store, batch_size=1, stagger=True).run()
-        assert report.n_done == 6
-        first_line = (tmp_path / "r.jsonl").read_text().splitlines()[0]
-        expected_first = jobs[os.getpid() % len(jobs)].job_id
-        assert json.loads(first_line)["job_id"] == expected_first
-        assert {r["job_id"]: r["result"] for r in store.records()} == \
-            reference_results(spec)
-
-    def test_refresh_can_be_disabled(self, tmp_path):
-        spec = small_spec()
-        jobs = spec.expand()
-        store = ResultStore(tmp_path / "r.jsonl")
-        peer = ResultStore(tmp_path / "r.jsonl")
-        fired = []
-
-        def peer_completes_job_3(snapshot):
-            if not fired:
-                fired.append(True)
-                peer.record(run_job(jobs[3]))
-
-        # legacy mode: with leases the claim itself would shed the job
-        runner = CampaignRunner(spec, store, batch_size=2,
-                                refresh_pending=False, lease=False)
-        report = runner.run(progress=peer_completes_job_3)
-        assert report.n_shed == 0 and report.n_done == 6  # job 3 re-executed
 
 
 class TestConcurrentRunnerProcesses:

@@ -185,6 +185,10 @@ class TestDeficitRoundRobin:
             sched.enqueue("t", "x", priority="urgent")
         with pytest.raises(ValueError, match="no inflight"):
             sched.mark_complete("t")
+        for batch_size in (0, -1):  # rejected before any directory is opened
+            with pytest.raises(ValueError, match="batch_size"):
+                MultiCampaignMaster(["unopened"], batch_size=batch_size,
+                                    telemetry=NULL)
 
 
 def tenant_spec(name, algorithm, **overrides):
@@ -271,6 +275,37 @@ class TestMultiCampaignMaster:
         assert reports["tenant-a"].n_done == 6
         assert reports["tenant-b"].n_done == 6
 
+    def test_one_heartbeat_thread_whatever_the_tenant_count(
+        self, tmp_path, monkeypatch
+    ):
+        """A 3-tenant serve renews every tenant's claims from as many
+        heartbeat threads as a 1-tenant serve."""
+        import threading
+
+        names = []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            names.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+
+        def heartbeat_threads(algorithms):
+            names.clear()
+            directories = []
+            for algorithm in algorithms:
+                directory = tmp_path / f"{len(algorithms)}-{algorithm}"
+                Campaign(directory, spec=tenant_spec(f"t-{algorithm}", algorithm))
+                directories.append(directory)
+            master = MultiCampaignMaster(directories, transport="inproc",
+                                         max_workers=2, telemetry=NULL)
+            reports = master.serve(timeout=60)
+            assert all(report.n_done == 6 for report in reports.values())
+            return names.count("lease-heartbeat")
+
+        assert heartbeat_threads(["DET", "PC", "MN"]) == heartbeat_threads(["DET"])
+
     def test_unknown_override_name_rejected(self, tmp_path):
         Campaign(tmp_path / "a", spec=tenant_spec("only", "DET"))
         with pytest.raises(ValueError, match="match no tenant"):
@@ -296,6 +331,24 @@ class TestMultiCampaignMaster:
         assert reports["pinned"].n_failed == 6
         records = list(Campaign(directory).store.records())
         assert all("constraints" in (r["error"] or "") for r in records)
+
+    def test_caps_on_the_highest_rank_survive_a_short_backlog(
+        self, tmp_path, monkeypatch
+    ):
+        """Fewer pending jobs than workers must not shrink the fleet below
+        the rank that holds the capability they need."""
+        audit = tmp_path / "audit.log"
+        monkeypatch.setenv(JOB_AUDIT_ENV, str(audit))
+        spec = tenant_spec("pinned", "DET", constraints=["gpu"], seeds=[0, 1])
+        directory = tmp_path / "camp"
+        Campaign(directory, spec=spec)
+        master = MultiCampaignMaster([directory], transport="inproc",
+                                     max_workers=4, worker_caps={4: ["gpu"]},
+                                     telemetry=NULL)
+        reports = master.serve(timeout=60)
+        assert reports["pinned"].n_done == 2 and reports["pinned"].n_failed == 0
+        workers = [line.split()[3] for line in audit.read_text().splitlines()]
+        assert workers == ["4:gpu", "4:gpu"]
 
     def test_serve_status_reports_policy_fields(self, tmp_path):
         Campaign(tmp_path / "a", spec=tenant_spec(

@@ -243,6 +243,19 @@ class TestCommands:
         err = capsys.readouterr().err
         assert rc == 2 and "already sharded into 2" in err
 
+    def test_campaign_bad_batch_size_is_clean(self, tmp_path, capsys):
+        """A batch size below 1 exits 2 with an error line, running nothing."""
+        directory = str(tmp_path / "camp")
+        for batch_size in ("0", "-1"):
+            rc = main(self._small_campaign_args(directory)
+                      + ["--batch-size", batch_size])
+            err = capsys.readouterr().err
+            assert rc == 2 and "error:" in err and "batch_size" in err
+        rc = main(["campaign", "serve", directory, "--batch-size", "0"])
+        err = capsys.readouterr().err
+        assert rc == 2 and "error:" in err and "batch_size" in err
+        assert not (tmp_path / "camp" / "results.jsonl").exists()
+
     def test_campaign_run_with_sqlite_store_lifecycle(self, tmp_path, capsys):
         from repro.campaign import SQLiteStoreBackend, Campaign
         from repro.campaign.backends import DB_FILENAME

@@ -3,7 +3,8 @@
 The CI docs job runs this file.  It checks that the architecture and
 campaign guides exist, that README links to them, and that every
 relative markdown link (including intra-page anchors) in README and
-``docs/*.md`` points at something real.
+``docs/*.md`` points at something real, and that the metric catalogue in
+``docs/OBSERVABILITY.md`` names exactly the metrics ``src/`` registers.
 """
 
 import re
@@ -64,3 +65,29 @@ def test_internal_links_resolve(doc):
             if anchor.lower() not in _heading_slugs(resolved):
                 broken.append(f"{target}: no heading for anchor #{anchor}")
     assert not broken, f"broken links in {doc.name}:\n  " + "\n  ".join(broken)
+
+
+# telemetry.counter("repro_x", ...) / .gauge / .histogram / .timer calls
+METRIC_REGISTRATION_RE = re.compile(
+    r'\.(?:counter|gauge|histogram|timer)\(\s*"(repro_[a-z0-9_]+)"'
+)
+# a catalogue row: | `repro_x` | type | labels | meaning |
+METRIC_ROW_RE = re.compile(r"^\| `(repro_[a-z0-9_]+)` \|", re.MULTILINE)
+
+
+def test_metric_catalogue_matches_registered_metrics():
+    """Every metric ``src/`` registers is documented in OBSERVABILITY.md,
+    and every documented metric is registered somewhere."""
+    registered = set()
+    for path in (REPO / "src").rglob("*.py"):
+        registered.update(METRIC_REGISTRATION_RE.findall(path.read_text()))
+    documented = set(
+        METRIC_ROW_RE.findall((REPO / "docs" / "OBSERVABILITY.md").read_text())
+    )
+    assert registered, "no metric registrations found under src/"
+    assert not registered - documented, (
+        f"undocumented metrics: {sorted(registered - documented)}"
+    )
+    assert not documented - registered, (
+        f"documented but never registered: {sorted(documented - registered)}"
+    )

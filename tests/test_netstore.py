@@ -295,7 +295,7 @@ class TestLeaseHeartbeat:
 
     def test_single_failure_is_retried_not_counted(self):
         store = _FlakyStore(fail_first=1)
-        hb = _LeaseHeartbeat(store, ["a"], "r1", ttl=0.3,
+        hb = _LeaseHeartbeat(lambda: store.renew(["a"], "r1", 0.3), ttl=0.3,
                              telemetry=Telemetry.create())
         try:
             self.wait_for(lambda: store.calls >= 3)
@@ -307,8 +307,8 @@ class TestLeaseHeartbeat:
         store = _FlakyStore(fail_first=10 ** 9)
         telemetry = Telemetry.create()
         with caplog.at_level("WARNING", logger="repro.campaign.runner"):
-            hb = _LeaseHeartbeat(store, ["a", "b"], "r1", ttl=0.3,
-                                 telemetry=telemetry)
+            hb = _LeaseHeartbeat(lambda: store.renew(["a", "b"], "r1", 0.3),
+                                 ttl=0.3, telemetry=telemetry)
             try:
                 self.wait_for(lambda: hb.n_failures >= 2)
             finally:
@@ -333,7 +333,8 @@ class TestLeaseHeartbeat:
                 return list(job_ids)
 
         store = SlowStore()
-        hb = _LeaseHeartbeat(store, ["a"], "r1", ttl=0.45)  # interval 0.15
+        hb = _LeaseHeartbeat(lambda: store.renew(["a"], "r1", 0.45),
+                             ttl=0.45)  # interval 0.15
         try:
             self.wait_for(lambda: len(store.times) >= 4)
         finally:
