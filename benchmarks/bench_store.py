@@ -2,8 +2,8 @@
 
 Simulates the hot path of a lease-coordinated campaign runner — claim a
 batch of job ids, then append one result record per claimed job — for
-each store engine (single-file JSONL, sharded JSONL, SQLite, and the
-``store://`` network engine over a real localhost socket) at
+each store engine (single-file JSONL, SQLite, and the ``store://``
+network engine over a real localhost socket) at
 campaign-realistic volume (10k jobs by default), and reports jobs/s.
 
 This is the number the ROADMAP's scaling work steers by: it is what
@@ -60,7 +60,7 @@ from repro.telemetry import Telemetry  # noqa: E402
 GATED_ENGINE = "sqlite"
 
 
-def make_store(engine: str, directory: Path, shards: int):
+def make_store(engine: str, directory: Path):
     """A fresh store of ``engine`` rooted at ``directory``.
 
     Resolved through :func:`repro.campaign.open_store` — the same
@@ -69,8 +69,6 @@ def make_store(engine: str, directory: Path, shards: int):
     """
     if engine == "jsonl":
         return open_store(directory)
-    if engine == "sharded":
-        return open_store(directory, shards=shards)
     if engine == "sqlite":
         return open_store(directory, engine="sqlite")
     if engine == "netstore":
@@ -100,7 +98,7 @@ def synthetic_record(job_id: str) -> dict:
     }
 
 
-def bench_engine(engine: str, n_jobs: int, batch: int, shards: int,
+def bench_engine(engine: str, n_jobs: int, batch: int,
                  telemetry: bool = False) -> dict:
     """Time the claim+append loop for one engine; returns the measurement.
 
@@ -110,7 +108,7 @@ def bench_engine(engine: str, n_jobs: int, batch: int, shards: int,
     """
     job_ids = [f"job-{i:08d}" for i in range(n_jobs)]
     with tempfile.TemporaryDirectory(prefix=f"bench-store-{engine}-") as tmp:
-        store = make_store(engine, Path(tmp), shards)
+        store = make_store(engine, Path(tmp))
         if telemetry:
             store.telemetry = Telemetry.create()
         n_claimed = 0
@@ -150,9 +148,9 @@ def overhead_gate(args) -> int:
     """
     rounds = []
     for _ in range(args.rounds):
-        off = bench_engine(GATED_ENGINE, args.jobs, args.batch, args.shards,
+        off = bench_engine(GATED_ENGINE, args.jobs, args.batch,
                            telemetry=False)["claim_append_jobs_per_s"]
-        on = bench_engine(GATED_ENGINE, args.jobs, args.batch, args.shards,
+        on = bench_engine(GATED_ENGINE, args.jobs, args.batch,
                           telemetry=True)["claim_append_jobs_per_s"]
         rounds.append((off, on))
     off, on = max(rounds, key=lambda pair: pair[1] / pair[0])
@@ -212,11 +210,9 @@ def main(argv=None) -> int:
                         help="jobs per engine (default 10000)")
     parser.add_argument("--batch", type=int, default=100,
                         help="claim/append batch size (default 100)")
-    parser.add_argument("--shards", type=int, default=8,
-                        help="shard count for the sharded engine (default 8)")
     parser.add_argument("--engines", nargs="+",
-                        default=["jsonl", "sharded", "sqlite", "netstore"],
-                        choices=["jsonl", "sharded", "sqlite", "netstore"])
+                        default=["jsonl", "sqlite", "netstore"],
+                        choices=["jsonl", "sqlite", "netstore"])
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="write the measurements as JSON")
     parser.add_argument("--check", default=None, metavar="BASELINE",
@@ -250,12 +246,11 @@ def main(argv=None) -> int:
     print(f"claim+append throughput, {args.jobs} jobs, "
           f"batches of {args.batch}{mode}:")
     for engine in args.engines:
-        measurement = bench_engine(engine, args.jobs, args.batch, args.shards,
+        measurement = bench_engine(engine, args.jobs, args.batch,
                                    telemetry=args.telemetry)
         results["engines"][engine] = measurement
-        label = f"{engine} ({args.shards} shards)" if engine == "sharded" else engine
         print(
-            f"  {label:<20} {measurement['claim_append_jobs_per_s']:>12,.0f} jobs/s"
+            f"  {engine:<20} {measurement['claim_append_jobs_per_s']:>12,.0f} jobs/s"
             f"  ({measurement['elapsed_s']:.2f}s)"
         )
 

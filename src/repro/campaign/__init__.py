@@ -15,19 +15,17 @@ granted under the store lock, renewed on a heartbeat, expiring when a
 runner is killed) guarantee each job is executed exactly once.  The
 store itself is a pluggable **engine** behind the
 :class:`~repro.campaign.backends.base.StoreBackend` contract
-(:mod:`.backends`): the append-only JSONL file, the **sharded**
-``results-<k>.jsonl`` layout (:class:`ShardedResultStore`,
-:func:`open_store`) so multi-million-job campaigns don't serialize every
-append through one lock, or a transactional **SQLite** database
+(:mod:`.backends`, resolved by :func:`open_store`): the append-only
+JSONL file, a transactional **SQLite** database
 (:class:`SQLiteStoreBackend`, ``--store sqlite``) that coordinates
-through the database instead of filesystem locks — or a **network**
+through the database instead of filesystem locks, or a **network**
 store (:class:`NetworkStoreBackend`, ``--store store://host:port``)
 speaking framed TCP to a ``campaign store-serve`` process
 (:class:`StoreServer`), so runners need no shared filesystem at all.
-:func:`migrate_store` converts a campaign between engines or shard
-counts losslessly; :meth:`ResultStore.compact` keeps long-lived stores
-readable; :mod:`.progress` provides the live heartbeat, per-cell
-progress, and watch loops.
+:func:`migrate_store` converts a campaign between engines losslessly
+(including directories an older version wrote); :meth:`ResultStore.compact`
+keeps long-lived stores readable; :mod:`.progress` provides the live
+heartbeat, per-cell progress, and watch loops.
 
 Many campaigns can also share **one** worker fleet: ``campaign serve``
 (:class:`MultiCampaignMaster`, :mod:`.scheduler`) drains any number of
@@ -48,13 +46,17 @@ from repro.campaign.backends import (
     ENGINE_JSONL,
     ENGINE_SQLITE,
     ENGINE_STORE,
+    MANIFEST_FILENAME,
     STORE_ENGINES,
     NetworkStoreBackend,
     NetworkStoreError,
     SQLiteStoreBackend,
     StoreBackend,
     StoreServer,
+    migrate_store,
+    open_store,
     parse_store_spec,
+    read_manifest,
 )
 from repro.campaign.aggregate import (
     CellSummary,
@@ -97,15 +99,6 @@ from repro.campaign.scheduler import (
     MultiCampaignMaster,
     TenantQueue,
     serve_status,
-)
-from repro.campaign.sharding import (
-    MANIFEST_FILENAME,
-    ShardedResultStore,
-    migrate_legacy_store,
-    migrate_store,
-    open_store,
-    read_manifest,
-    shard_index,
 )
 from repro.campaign.spec import AlgorithmVariant, CampaignSpec, Job, canonical_json
 from repro.campaign.store import (
@@ -153,7 +146,6 @@ __all__ = [
     "STATUS_RELEASED",
     "STORE_ENGINES",
     "SQLiteStoreBackend",
-    "ShardedResultStore",
     "StoreBackend",
     "StoreServer",
     "TenantQueue",
@@ -165,7 +157,6 @@ __all__ = [
     "execute_job",
     "format_duration",
     "job_function",
-    "migrate_legacy_store",
     "migrate_store",
     "mw_job_executor",
     "open_store",
@@ -175,7 +166,6 @@ __all__ = [
     "run_job",
     "seed_rate",
     "serve_status",
-    "shard_index",
     "summarize",
     "watch_campaign",
     "workers_from_trace",

@@ -15,7 +15,7 @@ Turns flat job records into the shapes the paper reports:
 Everything operates on plain record dicts as returned by
 ``StoreBackend.records()`` — never on a store's representation — so
 aggregation works identically on a live campaign directory, a finished
-one, an in-memory store, and every engine (JSONL, sharded, SQLite); a
+one, an in-memory store, and every engine (JSONL, SQLite, ``store://``); a
 migrated store reproduces its tables exactly.
 """
 

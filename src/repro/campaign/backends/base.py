@@ -15,24 +15,28 @@ Three engines ship with the package:
   JSONL file (``results.jsonl``) with ``flock``-guarded appends,
   truncated-tail heal, and last-record-wins dedup; also the in-memory
   store when constructed without a path.
-* :class:`~repro.campaign.sharding.ShardedResultStore` — the identical
-  JSONL format spread over ``results-<k>.jsonl`` shards routed by a
-  stable job-id hash.
 * :class:`~repro.campaign.backends.sqlite.SQLiteStoreBackend` — a
   transactional SQLite database (WAL mode) for campaigns that outgrow
   filesystem-level coordination.
+* :class:`~repro.campaign.backends.netstore.NetworkStoreBackend` — a
+  ``store://host:port`` client of a ``campaign store-serve`` process.
 
 This module also owns the small value types the contract speaks in
 (:class:`Lease`, :class:`CompactionStats`) and the record/lease status
-constants, so concrete engines depend only on this module, never on each
-other.
+constants, plus the ``store-manifest.json`` helpers that pin a
+directory's engine, so concrete engines depend only on this module,
+never on each other.
 """
 
 from __future__ import annotations
 
 import abc
+import json
+import os
 import time
+import uuid
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set
 
 #: Result-record statuses (durable job outcomes).
@@ -42,6 +46,68 @@ STATUS_FAILED = "failed"
 STATUS_CLAIMED = "claimed"
 STATUS_RELEASED = "released"
 LEASE_STATUSES = (STATUS_CLAIMED, STATUS_RELEASED)
+
+#: Manifest file pinning a directory's store engine.
+MANIFEST_FILENAME = "store-manifest.json"
+_MANIFEST_VERSION = 1
+
+
+def read_manifest(directory) -> Optional[dict]:
+    """The parsed ``store-manifest.json`` of ``directory``, or ``None``.
+
+    Manifests written before engines existed carry no ``engine`` field;
+    they are reported as ``jsonl`` (the only engine that existed then).
+    A manifest that does not parse as a JSON object raises
+    ``ValueError`` naming its path.
+    """
+    path = Path(directory) / MANIFEST_FILENAME
+    if not path.exists():
+        return None
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"unreadable store manifest {path}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"unreadable store manifest {path}: not a JSON object")
+    manifest.setdefault("engine", "jsonl")
+    return manifest
+
+
+def ensure_manifest(directory, engine: str) -> dict:
+    """Validate or create ``directory``'s manifest for ``engine``.
+
+    An existing manifest must name the same engine — the representations
+    cannot coexist, so reopening a directory under a different engine is
+    a hard error pointing at ``campaign migrate-store``.  Returns the
+    (existing or freshly written) manifest dict.
+    """
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    manifest = read_manifest(directory)
+    if manifest is not None:
+        if manifest["engine"] != engine:
+            raise ValueError(
+                f"store at {directory} uses the {manifest['engine']!r} "
+                f"engine; cannot reopen it as {engine!r} — use "
+                f"'campaign migrate-store' to convert"
+            )
+        return manifest
+    manifest = {"version": _MANIFEST_VERSION, "engine": engine}
+    _write_manifest_file(directory / MANIFEST_FILENAME, manifest)
+    return manifest
+
+
+def _write_manifest_file(path: Path, manifest: dict) -> None:
+    """Atomically create the manifest (concurrent creators converge).
+
+    The temp name is unique per *writer*, not per process: two threads of
+    one process sharing a name would interleave writes into one temp file
+    and the loser's ``os.replace`` would find it already moved.
+    """
+    payload = json.dumps(manifest, sort_keys=True) + "\n"
+    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}.{uuid.uuid4().hex}")
+    tmp.write_text(payload)
+    os.replace(tmp, path)
 
 
 @dataclass(frozen=True)
@@ -87,15 +153,6 @@ class CompactionStats:
             f"{self.bytes_before} -> {self.bytes_after} bytes"
         )
 
-    def __add__(self, other: "CompactionStats") -> "CompactionStats":
-        """Aggregate per-shard stats (used by the sharded store)."""
-        return CompactionStats(
-            self.n_records_before + other.n_records_before,
-            self.n_records_after + other.n_records_after,
-            self.bytes_before + other.bytes_before,
-            self.bytes_after + other.bytes_after,
-        )
-
 
 class StoreBackend(abc.ABC):
     """Abstract result store: what the campaign layer requires of an engine.
@@ -116,8 +173,8 @@ class StoreBackend(abc.ABC):
       A result record supersedes the claim it fulfils.
     * **Reads** — :meth:`records` returns the deduplicated result
       records in first-appearance order, lease bookkeeping excluded;
-      repeated reads must be cheap enough to poll (the JSONL engines
-      read incrementally, SQLite folds rows changed since the last
+      repeated reads must be cheap enough to poll (the JSONL engine
+      reads incrementally, SQLite folds rows changed since the last
       read).  Mutating a returned record must not corrupt the store.
     * **Compaction** — :meth:`compact` drops duplicate records and stale
       lease state without changing any observable read, atomically with
@@ -140,8 +197,8 @@ class StoreBackend(abc.ABC):
     engine: str = "jsonl"
 
     #: Label the engine's latency series carries in the metrics registry;
-    #: distinct from :attr:`engine` where several engines share a wire
-    #: format (the sharded store reports as ``"sharded"``, not ``"jsonl"``).
+    #: distinct from :attr:`engine` where they differ (the ``store://``
+    #: client reports as ``"netstore"``, not ``"store"``).
     metrics_engine: str = "jsonl"
 
     @property

@@ -66,12 +66,16 @@ import copy
 import json
 import socket
 import threading
+from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.campaign.backends.base import (
+    MANIFEST_FILENAME,
     CompactionStats,
     Lease,
     StoreBackend,
+    _write_manifest_file,
+    read_manifest,
 )
 from repro.mw.codec import (
     CodecError,
@@ -717,7 +721,7 @@ class NetworkStoreBackend(StoreBackend):
 def open_network_store(url: str, directory=None, **client_options: Any) -> NetworkStoreBackend:
     """Open a ``store://`` client, pinning ``directory``'s manifest to it.
 
-    The registry hook behind :func:`repro.campaign.sharding.open_store`:
+    The registry hook behind :func:`repro.campaign.backends.open_store`:
     when a campaign directory is given, its ``store-manifest.json`` is
     created (or validated) with ``engine: "store"`` and the server URL,
     so re-opening the directory *without* ``--store`` reconnects to the
@@ -729,15 +733,6 @@ def open_network_store(url: str, directory=None, **client_options: Any) -> Netwo
     """
     host, port = parse_store_url(url)
     if directory is not None:
-        # Function-level import: sharding imports this package at module
-        # scope, so the manifest helpers must resolve lazily.
-        from repro.campaign.sharding import (
-            MANIFEST_FILENAME,
-            _write_manifest_file,
-            read_manifest,
-        )
-        from pathlib import Path
-
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         manifest = read_manifest(directory)

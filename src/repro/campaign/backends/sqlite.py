@@ -1,6 +1,6 @@
 """A transactional SQLite result-store engine.
 
-The JSONL engines coordinate runners through filesystem primitives —
+The JSONL engine coordinates runners through filesystem primitives —
 ``O_APPEND`` whole-line writes under an exclusive ``flock`` — which is
 exactly what the paper's MW architecture *avoids*: results are supposed
 to flow through a resource manager, not a shared POSIX file.  This
@@ -18,7 +18,7 @@ Design points:
   ``BEGIN IMMEDIATE`` transaction: the write lock is taken *up front*,
   the free subset is computed inside it, and the lease rows land before
   commit, so two runners claiming overlapping batches partition them —
-  the same guarantee the JSONL engines get from ``flock`` plus an
+  the same guarantee the JSONL engine gets from ``flock`` plus an
   in-lock re-scan.  Renewals and releases are transactional the same
   way.
 * **Last-record-wins by upsert** — ``job_id`` is unique in the
@@ -40,8 +40,8 @@ Design points:
   never share a connection.
 
 Record payloads are stored as canonical (sorted-key) JSON text — the
-byte-for-byte line format of the JSONL engines — which is what makes
-:func:`~repro.campaign.sharding.migrate_store` round-trips lossless down
+byte-for-byte line format of the JSONL engine — which is what makes
+:func:`~repro.campaign.backends.migrate_store` round-trips lossless down
 to the compacted bytes.
 """
 
@@ -63,6 +63,7 @@ from repro.campaign.backends.base import (
     CompactionStats,
     Lease,
     StoreBackend,
+    ensure_manifest,
 )
 from repro.campaign.spec import CELL_FIELDS
 
@@ -123,8 +124,8 @@ class SQLiteStoreBackend(StoreBackend):
         ``<directory>/results.sqlite`` (created as needed, WAL mode).
         The directory's ``store-manifest.json`` must either be absent
         (it is written) or already name the ``sqlite`` engine — opening
-        a JSONL-sharded directory as SQLite is a hard error, because the
-        two representations cannot coexist (use ``campaign
+        a directory pinned to another engine as SQLite is a hard error,
+        because the representations cannot coexist (use ``campaign
         migrate-store`` to convert).
     busy_timeout:
         Seconds a statement waits on a locked database.
@@ -134,11 +135,6 @@ class SQLiteStoreBackend(StoreBackend):
     metrics_engine = "sqlite"
 
     def __init__(self, directory, busy_timeout: float = DEFAULT_BUSY_TIMEOUT) -> None:
-        # Imported here, not at module top: sharding imports this module
-        # via the backends package, so the manifest helpers must not be
-        # imported until both modules exist.
-        from repro.campaign.sharding import ensure_manifest
-
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         ensure_manifest(self.directory, engine=self.engine)
@@ -271,7 +267,7 @@ class SQLiteStoreBackend(StoreBackend):
         """Upsert one job record; the write supersedes any lease for its job.
 
         The payload is stored as canonical sorted-key JSON — byte-equal
-        to the JSONL engines' line format, so store migrations round-trip
+        to the JSONL engine's line format, so store migrations round-trip
         losslessly.  A replaced row keeps its original ``seq`` (insertion
         position) and takes a fresh ``mut`` stamp so incremental readers
         pick the change up.
@@ -287,7 +283,7 @@ class SQLiteStoreBackend(StoreBackend):
         One commit for the whole batch instead of one per record — the
         append half of the one-transaction-per-batch discipline (claims
         are the other half), and the reason batch appends here keep pace
-        with the JSONL engines' single locked write.
+        with the JSONL engine's single locked write.
         """
         records = list(records)
         for rec in records:
@@ -399,7 +395,7 @@ class SQLiteStoreBackend(StoreBackend):
         Only rows whose mutation stamp is newer than the previous read
         are fetched and folded into the id-keyed cache; a replaced row
         keeps its original position (dict update preserves insertion
-        order), matching the JSONL engines' ordering exactly.  Returned
+        order), matching the JSONL engine's ordering exactly.  Returned
         records are deep copies — mutating them cannot corrupt the cache.
         """
         with self._cache_lock:
@@ -495,7 +491,7 @@ class SQLiteStoreBackend(StoreBackend):
     def compact(self, now: Optional[float] = None) -> CompactionStats:
         """Prune stale leases, checkpoint the WAL, and vacuum.
 
-        Upserts dedup continuously, so unlike the JSONL engines there are
+        Upserts dedup continuously, so unlike the JSONL engine there are
         never duplicate result records to drop —
         ``n_records_before == n_records_after`` always.  What compaction
         reclaims here is expired lease rows, the accumulated WAL, and

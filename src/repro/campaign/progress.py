@@ -14,7 +14,7 @@ Two consumers share the :class:`ProgressSnapshot` shape:
 
 Both read only the spec and the result store — through the
 :class:`~repro.campaign.backends.base.StoreBackend` contract, so every
-engine (single-file JSONL, sharded, SQLite) is watchable identically —
+engine (JSONL, SQLite, ``store://``) is watchable identically —
 and watching works from any host that can see the shared campaign
 directory.
 """
@@ -273,11 +273,10 @@ def _store_mtime_window(campaign) -> Optional[float]:
 
     The creation proxy is ``spec.json``'s mtime (written once, when the
     campaign directory is initialised); the last-write proxy is the
-    newest mtime across the store's on-disk files — the single JSONL
-    file, every ``results*`` file of a sharded directory, or the SQLite
-    database plus its WAL.  ``None`` when the window cannot be measured
-    (in-memory store, store not yet written, or clock skew producing a
-    non-positive window).
+    newer mtime of the store's file and its ``-wal`` sibling — the JSONL
+    file, or the SQLite database plus its WAL.  ``None`` when the window
+    cannot be measured (in-memory or network store, store not yet
+    written, or clock skew producing a non-positive window).
     """
     try:
         t_start = (Path(campaign.directory) / "spec.json").stat().st_mtime
@@ -287,12 +286,8 @@ def _store_mtime_window(campaign) -> Optional[float]:
     if store_path is None:
         return None
     store_path = Path(store_path)
-    if store_path.is_dir():
-        candidates = list(store_path.glob("results*"))
-    else:
-        candidates = [store_path, store_path.with_name(store_path.name + "-wal")]
     latest = None
-    for candidate in candidates:
+    for candidate in (store_path, store_path.with_name(store_path.name + "-wal")):
         try:
             mtime = candidate.stat().st_mtime
         except OSError:

@@ -21,8 +21,8 @@ obvious follow-up is to re-run the same command.
 
 :class:`Campaign` is the directory-level façade the CLI and examples use:
 ``<dir>/spec.json`` plus a result store — any
-:class:`~repro.campaign.backends.base.StoreBackend` engine (single or
-sharded JSONL, SQLite, or ``store://``).
+:class:`~repro.campaign.backends.base.StoreBackend` engine (JSONL,
+SQLite, or ``store://``).
 """
 
 from __future__ import annotations
@@ -48,9 +48,8 @@ from repro.campaign.execution import (
     proposal_work,
     run_job,
 )
-from repro.campaign.backends import parse_store_spec
+from repro.campaign.backends import open_store, parse_store_spec
 from repro.campaign.progress import ProgressSnapshot
-from repro.campaign.sharding import open_store
 from repro.campaign.spec import CampaignSpec, Job, _is_plain_json
 from repro.campaign.store import (
     STATUS_DONE,
@@ -898,28 +897,19 @@ class CampaignRunner(_DispatchLoop):
 class Campaign:
     """A campaign directory: ``spec.json`` plus its result store.
 
-    :func:`~repro.campaign.sharding.open_store` resolves the store: the
-    single ``results.jsonl`` by default, ``results-<k>.jsonl`` shards when
-    ``shards`` is given, or the engine a ``store`` spec (``"jsonl"``,
-    ``"jsonl:N"``, ``"sqlite"``, ``"store://host:port"``) requests.  An
+    :func:`~repro.campaign.backends.open_store` resolves the store: the
+    single ``results.jsonl`` by default, or the engine a ``store`` spec
+    (``"jsonl"``, ``"sqlite"``, ``"store://host:port"``) requests.  An
     existing ``store-manifest.json`` always wins; requesting a
     *conflicting* engine is an error (``campaign migrate-store``
-    converts), while ``shards=N`` or ``store="sqlite"`` migrates a legacy
-    directory in place.  The grid is fixed at creation, so reopening
-    with a *different* spec is an error; the same (or no) spec resumes.
+    converts), while ``store="sqlite"`` migrates a legacy directory in
+    place.  The grid is fixed at creation, so reopening with a
+    *different* spec is an error; the same (or no) spec resumes.
     """
 
     def __init__(self, directory, spec: Optional[CampaignSpec] = None,
-                 shards: Optional[int] = None,
                  store: Optional[str] = None) -> None:
-        engine, store_shards = parse_store_spec(store)
-        if store_shards is not None:
-            if shards is not None and int(shards) != store_shards:
-                raise ValueError(
-                    f"conflicting shard counts: shards={shards} vs "
-                    f"store={store!r}"
-                )
-            shards = store_shards
+        engine = parse_store_spec(store)
         self.directory = Path(directory)
         spec_path = self.directory / SPEC_FILENAME
         if spec_path.exists():
@@ -937,7 +927,7 @@ class Campaign:
                 )
             self.spec = spec
             spec.save(spec_path)
-        self.store = open_store(self.directory, shards=shards, engine=engine)
+        self.store = open_store(self.directory, engine=engine)
         self._jobs: Optional[List[Job]] = None
 
     def jobs(self) -> List[Job]:
@@ -1002,7 +992,7 @@ class Campaign:
         ``claimed`` (unfinished jobs under a live lease) overlays, not
         partitions, the pending/failed counts; ``cells`` maps each grid
         cell to its own ``{"total", "done", "failed", "claimed"}``;
-        ``engine`` and ``shards`` describe the store.
+        ``engine`` names the store engine.
         """
         jobs = self.jobs()
         records = {r["job_id"]: r for r in self.store.records()}
@@ -1033,7 +1023,6 @@ class Campaign:
             "pending": len(jobs) - done - failed,
             "claimed": claimed,
             "engine": getattr(self.store, "engine", "jsonl"),
-            "shards": getattr(self.store, "n_shards", 1),
             "cells": cells,
         }
 

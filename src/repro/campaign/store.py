@@ -51,9 +51,9 @@ pre-compaction inode detects the swap and reopens.
 run compaction when no runner is writing if the store lives on NFS.)
 
 ``ResultStore()`` with no path is an in-memory store for ephemeral sweeps
-(the benchmark harness) and tests.  For multi-million-job campaigns the
-single file becomes the contention point; :mod:`repro.campaign.sharding`
-spreads the same format over ``results-<k>.jsonl`` shards.
+(the benchmark harness) and tests.  When many runners contend for one
+file, the SQLite engine (:mod:`repro.campaign.backends.sqlite`) or a
+``store://`` server coordinates them instead.
 """
 
 from __future__ import annotations

@@ -18,12 +18,11 @@ Subcommands:
   directory cooperatively drain one campaign — claim leases
   (``--lease-ttl``) guarantee exactly one runner executes each job.
   ``run`` and ``serve`` share one claim → dispatch → record loop: ``run``
-  is a one-tenant serve.  ``--store jsonl|jsonl:N|sqlite|store://host:port``
-  picks the result store engine (``--shards N`` is shorthand for
-  ``jsonl:N``; ``store://`` talks to a ``campaign store-serve`` process
-  over TCP, so runners need no shared filesystem); ``campaign
-  migrate-store`` converts an existing campaign between engines or shard
-  counts.  With ``--transport tcp://host:port`` the master listens for
+  is a one-tenant serve.  ``--store jsonl|sqlite|store://host:port``
+  picks the result store engine (``store://`` talks to a ``campaign
+  store-serve`` process over TCP, so runners need no shared
+  filesystem); ``campaign migrate-store`` converts an existing campaign
+  between engines.  With ``--transport tcp://host:port`` the master listens for
   remote workers instead of spawning local ones.  ``run --telemetry``
   (or ``$REPRO_TELEMETRY=1``) records metrics and a job-lifecycle trace
   to ``<dir>/telemetry.jsonl``; ``campaign metrics`` exports them as
@@ -190,9 +189,8 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     else:
         spec = _campaign_spec_from_args(args)
     try:
-        campaign = Campaign(args.directory, spec=spec, shards=args.shards,
-                            store=args.store)
-    except ValueError as exc:  # conflicting spec / shard count / engine
+        campaign = Campaign(args.directory, spec=spec, store=args.store)
+    except ValueError as exc:  # conflicting spec / engine, bad manifest
         print(f"error: {exc}", file=sys.stderr)
         return 2
     progress_cb = None
@@ -238,7 +236,7 @@ def _open_campaign(directory):
 
     try:
         return Campaign(directory)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:  # no spec, bad manifest
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
 
@@ -443,16 +441,17 @@ def _cmd_campaign_store_serve(args: argparse.Namespace) -> int:
         ENGINE_STORE,
         StoreServer,
         is_store_url,
+        open_store,
         parse_store_spec,
+        read_manifest,
     )
-    from repro.campaign.sharding import open_store, read_manifest
 
     try:
-        engine, shards = parse_store_spec(args.store)
+        engine = parse_store_spec(args.store)
         if engine is not None and is_store_url(engine):
             raise ValueError(
                 "store-serve serves a *local* store; --store must be a "
-                "local engine (jsonl, jsonl:N, sqlite), not a store:// URL"
+                "local engine (jsonl, sqlite), not a store:// URL"
             )
         manifest = read_manifest(args.directory)
         if manifest is not None and manifest.get("engine") == ENGINE_STORE:
@@ -461,9 +460,9 @@ def _cmd_campaign_store_serve(args: argparse.Namespace) -> int:
                 f"(server {manifest.get('url')!r}); point store-serve at "
                 f"the directory that holds the data"
             )
-        if engine is None and shards is None and manifest is None:
+        if engine is None and manifest is None:
             engine = ENGINE_SQLITE  # fresh directories default to sqlite
-        backend = open_store(args.directory, shards=shards, engine=engine)
+        backend = open_store(args.directory, engine=engine)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -506,9 +505,7 @@ def _cmd_campaign_store_serve(args: argparse.Namespace) -> int:
 def _cmd_campaign_compact(args: argparse.Namespace) -> int:
     campaign = _open_campaign(args.directory)
     stats = campaign.compact()
-    n_shards = getattr(campaign.store, "n_shards", 1)
-    layout = f"  ({n_shards} shards)" if n_shards > 1 else ""
-    print(f"store     : {campaign.store.path}{layout}")
+    print(f"store     : {campaign.store.path}")
     print(
         f"records   : {stats.n_records_before} -> {stats.n_records_after} "
         f"({stats.n_dropped} duplicate/stale dropped)"
@@ -521,18 +518,15 @@ def _cmd_campaign_migrate_store(args: argparse.Namespace) -> int:
     from repro.campaign import migrate_store, parse_store_spec
 
     try:
-        engine, shards = parse_store_spec(args.store)
         store, n_copied = migrate_store(
-            args.source, args.dest, engine=engine, shards=shards
+            args.source, args.dest, engine=parse_store_spec(args.store)
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    n_shards = getattr(store, "n_shards", 1)
-    layout = f" ({n_shards} shards)" if n_shards > 1 else ""
     print(f"source    : {args.source}")
     print(f"dest      : {args.dest}")
-    print(f"engine    : {store.engine}{layout}")
+    print(f"engine    : {store.engine}")
     print(f"records   : {n_copied} copied (leases are not migrated)")
     return 0
 
@@ -546,8 +540,6 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     print(f"directory : {status['directory']}")
     if status["engine"] != "jsonl":
         print(f"store     : {status['engine']}")
-    elif status["shards"] > 1:
-        print(f"store     : {status['shards']} shards")
     claimed = f", {status['claimed']} claimed" if status["claimed"] else ""
     print(
         f"jobs      : {status['n_jobs']} total, {status['done']} done, "
@@ -749,17 +741,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="pin jobs round-robin to mw worker ranks")
     p_crun.add_argument("--store", default=None, metavar="ENGINE",
                         help="result store engine: jsonl (single file, the "
-                             "default), jsonl:N (N sharded files), sqlite "
+                             "default), sqlite "
                              "(one transactional WAL database), or "
                              "store://host:port (a 'campaign store-serve' "
                              "process — no shared filesystem needed); "
                              "existing stores auto-detect from "
                              "store-manifest.json")
-    p_crun.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="shorthand for --store jsonl:N — shard the "
-                             "result store into N results-<k>.jsonl files "
-                             "(migrates a legacy single-file store in place; "
-                             "existing sharded stores auto-detect)")
     p_crun.add_argument("--lease-ttl", type=float, default=None,
                         metavar="SECONDS",
                         help="seconds a claim survives without renewal — how "
@@ -864,13 +851,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmig = camp_sub.add_parser(
         "migrate-store",
         help="copy a campaign's store into a fresh directory under a new "
-             "engine or shard count (jsonl <-> sqlite, resharding); lossless "
-             "and idempotent, leases not migrated",
+             "engine (jsonl <-> sqlite); lossless and idempotent, leases not "
+             "migrated",
     )
     p_cmig.add_argument("source", help="existing campaign directory")
     p_cmig.add_argument("dest", help="fresh destination directory")
     p_cmig.add_argument("--store", required=True, metavar="ENGINE",
-                        help="destination engine: jsonl | jsonl:N | sqlite")
+                        help="destination engine: jsonl | sqlite")
     p_cmig.set_defaults(func=_cmd_campaign_migrate_store)
 
     p_cserve = camp_sub.add_parser(
@@ -886,7 +873,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "startup; default %(default)s)")
     p_cserve.add_argument("--store", default=None, metavar="ENGINE",
                           help="backing engine for a *fresh* directory: "
-                               "jsonl | jsonl:N | sqlite (default sqlite); "
+                               "jsonl | sqlite (default sqlite); "
                                "existing stores auto-detect from "
                                "store-manifest.json")
     p_cserve.set_defaults(func=_cmd_campaign_store_serve)

@@ -48,9 +48,8 @@ def store_backend(request, tmp_path, monkeypatch):
     Each call opens a *fresh instance* over the same substrate (one
     directory per test), so multi-runner tests model real cooperating
     processes.  The factory carries metadata for engine-sensitive
-    assertions: ``.engine`` (fixture param), ``.shards`` (expected
-    ``n_shards`` of the opened store), and ``.cli_store_spec`` (the
-    ``--store`` argument creating this layout from the CLI).
+    assertions: ``.engine`` (fixture param) and ``.cli_store_spec`` (the
+    ``--store`` argument creating this engine from the CLI).
 
     The ``netstore`` parametrization spins up a real in-process
     :class:`~repro.campaign.backends.netstore.StoreServer` over a sqlite
@@ -84,7 +83,6 @@ def store_backend(request, tmp_path, monkeypatch):
 
         request.addfinalizer(teardown)
         make.engine = "netstore"
-        make.shards = 1
         make.cli_store_spec = server.address
         return make
 
@@ -92,12 +90,7 @@ def store_backend(request, tmp_path, monkeypatch):
         return open_store_backend(request.param, tmp_path / "backend-store")
 
     make.engine = request.param
-    make.shards = 3 if request.param == "sharded" else 1
-    make.cli_store_spec = {
-        "jsonl": "jsonl",
-        "sharded": "jsonl:3",
-        "sqlite": "sqlite",
-    }[request.param]
+    make.cli_store_spec = request.param
     return make
 
 

@@ -7,9 +7,8 @@ in-process via a monkeypatched ``run_job``, across processes via the
 job execution, written by ``repro.campaign.execution`` before each run).
 
 Covered: two racing runners never duplicate an execution (the acceptance
-criterion, >= 200 jobs over a sharded store), a SIGKILLed runner's leased
-jobs are reclaimed exactly once after expiry, graceful interrupts release
-claims immediately, and the audit log itself.  Every scenario runs once
+criterion, >= 200 jobs), a SIGKILLed runner's leased jobs are reclaimed
+exactly once after expiry, graceful interrupts release claims immediately, and the audit log itself.  Every scenario runs once
 per store engine via the parametrized ``store_backend`` fixture — the
 lease protocol's guarantees are the engine contract, not a JSONL
 implementation detail.
@@ -203,7 +202,6 @@ class TestRunnerProcessChaos:
         assert sorted(audit_ids(audit)) == expected  # exactly once each
         campaign = Campaign(directory)
         assert campaign.store.completed_ids() == set(expected)
-        assert getattr(campaign.store, "n_shards", 1) == store_backend.shards
         assert campaign.store.engine == {
             "sqlite": "sqlite", "netstore": "store",
         }.get(store_backend.engine, "jsonl")

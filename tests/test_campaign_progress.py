@@ -198,19 +198,6 @@ class TestSeedRate:
         campaign = self.make_campaign(tmp_path, window=-5.0)
         assert seed_rate(campaign, 5) == 0.0
 
-    def test_sharded_directory_uses_newest_shard(self, tmp_path):
-        spec = tmp_path / "spec.json"
-        spec.write_text("{}")
-        shards = tmp_path / "store"
-        shards.mkdir()
-        t0 = spec.stat().st_mtime
-        for k, dt in enumerate((2.0, 8.0)):
-            shard = shards / f"results-{k}.jsonl"
-            shard.write_text("")
-            os.utime(shard, (t0 + dt, t0 + dt))
-        campaign = FakeCampaign(tmp_path, store_path=shards)
-        assert math.isclose(seed_rate(campaign, 16), 2.0, rel_tol=1e-6)
-
     def test_watch_first_tick_rate_is_seeded(self, tmp_path):
         status = status_dict([("PC", "PC", "sphere", 2, 1.0)])
         status["n_jobs"] = 40

@@ -126,8 +126,7 @@ class TestMetricsCoverage:
         runner = CampaignRunner(tiny_spec(), store_backend(),
                                 telemetry=telemetry)
         runner.run()
-        engine = {"jsonl": "jsonl", "sharded": "sharded",
-                  "sqlite": "sqlite", "netstore": "netstore"}[store_backend.engine]
+        engine = store_backend.engine  # the metrics label is the engine name
         hists = {
             (h["labels"].get("op"), h["labels"].get("engine"))
             for h in telemetry.registry.snapshot()["histograms"]

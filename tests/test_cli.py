@@ -208,41 +208,6 @@ class TestCommands:
         claimed_cell = pending[0].label
         assert cells[(claimed_cell, "sphere")]["claimed"] == 1
 
-    def test_campaign_run_with_shards_lifecycle(self, tmp_path, capsys):
-        from repro.campaign.sharding import MANIFEST_FILENAME
-
-        directory = str(tmp_path / "camp")
-        rc = main(self._small_campaign_args(directory) + ["--shards", "2"])
-        out = capsys.readouterr().out
-        assert rc == 0 and "4 completed" in out
-        assert (tmp_path / "camp" / MANIFEST_FILENAME).exists()
-        assert (tmp_path / "camp" / "results-0.jsonl").exists()
-
-        rc = main(self._small_campaign_args(directory))  # layout auto-detected
-        out = capsys.readouterr().out
-        assert rc == 0 and "4 already done" in out
-
-        rc = main(["campaign", "status", directory])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "store     : 2 shards" in out and "4 total, 4 done" in out
-
-        rc = main(["campaign", "summary", directory])
-        out = capsys.readouterr().out
-        assert rc == 0 and "DET" in out and "PC" in out
-
-        rc = main(["campaign", "compact", directory])
-        out = capsys.readouterr().out
-        assert rc == 0 and "(2 shards)" in out and "4 -> 4" in out
-
-    def test_campaign_run_shard_count_conflict_is_clean(self, tmp_path, capsys):
-        directory = str(tmp_path / "camp")
-        main(self._small_campaign_args(directory) + ["--shards", "2"])
-        capsys.readouterr()
-        rc = main(self._small_campaign_args(directory) + ["--shards", "8"])
-        err = capsys.readouterr().err
-        assert rc == 2 and "already sharded into 2" in err
-
     def test_campaign_bad_batch_size_is_clean(self, tmp_path, capsys):
         """A batch size below 1 exits 2 with an error line, running nothing."""
         directory = str(tmp_path / "camp")
@@ -288,7 +253,7 @@ class TestCommands:
         directory = str(tmp_path / "camp")
         main(self._small_campaign_args(directory) + ["--store", "sqlite"])
         capsys.readouterr()
-        rc = main(self._small_campaign_args(directory) + ["--shards", "4"])
+        rc = main(self._small_campaign_args(directory) + ["--store", "jsonl"])
         err = capsys.readouterr().err
         assert rc == 2 and "migrate-store" in err
         rc = main(self._small_campaign_args(directory) + ["--store", "parquet"])
@@ -331,6 +296,40 @@ class TestCommands:
         rc = main(["campaign", "migrate-store", src, src, "--store", "sqlite"])
         err = capsys.readouterr().err
         assert rc == 2 and "fresh destination" in err
+
+    def _assert_open_fails_cleanly(self, directory, capsys, needle):
+        """Every command that opens the campaign exits 2 with an error line."""
+        for command in (["status", directory], ["summary", directory],
+                        ["compare", directory, "DET", "PC"],
+                        ["watch", directory, "--once"], ["compact", directory]):
+            with pytest.raises(SystemExit) as exc:
+                main(["campaign"] + command)
+            err = capsys.readouterr().err
+            assert exc.value.code == 2, command
+            assert err.startswith("error:") and needle in err, (command, err)
+            assert "Traceback" not in err
+
+    def test_campaign_corrupt_manifest_is_clean(self, tmp_path, capsys):
+        directory = str(tmp_path / "camp")
+        main(self._small_campaign_args(directory) + ["--store", "sqlite"])
+        capsys.readouterr()
+        manifest = tmp_path / "camp" / "store-manifest.json"
+        manifest.write_text(manifest.read_text()[:10])  # truncated mid-write
+        self._assert_open_fails_cleanly(directory, capsys, str(manifest))
+
+    def test_campaign_old_sharded_directory_is_clean(self, tmp_path, capsys):
+        from repro.campaign import CampaignSpec
+        from store_helpers import make_old_sharded_directory
+
+        directory = tmp_path / "old"
+        spec = CampaignSpec(name="old", algorithms=["DET", "PC"],
+                            functions=["sphere"], dims=[2], sigma0s=[1.0],
+                            seeds=[0, 1, 2])
+        make_old_sharded_directory(directory, [j.job_id for j in spec.expand()])
+        spec.save(directory / "spec.json")
+        self._assert_open_fails_cleanly(
+            str(directory), capsys, "campaign migrate-store"
+        )
 
     def test_campaign_watch_missing_directory(self, tmp_path, capsys):
         with pytest.raises(SystemExit):

@@ -23,7 +23,6 @@ MODULES = [
     "repro.campaign.progress",
     "repro.campaign.runner",
     "repro.campaign.scheduler",
-    "repro.campaign.sharding",
     "repro.campaign.spec",
     "repro.campaign.store",
     "repro.core.async_driver",

@@ -81,7 +81,7 @@ class TestUrlGrammar:
         assert not is_store_url(None)
 
     def test_spec_round_trips_whole(self):
-        assert parse_store_spec("store://h:9090") == ("store://h:9090", None)
+        assert parse_store_spec("store://h:9090") == "store://h:9090"
 
     def test_client_rejects_port_zero(self):
         with pytest.raises(ValueError, match="explicit port"):

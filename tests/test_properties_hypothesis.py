@@ -10,11 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from store_helpers import STORE_BACKENDS, open_store_backend
-from repro.campaign import (
-    ResultStore,
-    ShardedResultStore,
-    open_store,
-)
+from repro.campaign import ResultStore, open_store
 from repro.cluster import Cluster, JobRequest, PBSScheduler
 from repro.core import MaxStepsTermination, NelderMead
 from repro.functions import Quadratic, initial_simplex
@@ -150,7 +146,7 @@ class TestStoreProperties:
 
         The model tracks *results only* — the invariant under test is that
         lease traffic and compaction never disturb (or surface as) result
-        records, and that last-record-wins holds across shards.
+        records, and that last-record-wins holds.
         """
         if op[0] == "record":
             _, jid, status, v = op
@@ -165,13 +161,11 @@ class TestStoreProperties:
             store.compact()
 
     @pytest.mark.parametrize("engine", STORE_BACKENDS)
-    @given(ops=_store_ops, n_shards=st.integers(1, 5))
+    @given(ops=_store_ops)
     @slow_settings
-    def test_random_interleavings_preserve_last_record_wins(
-        self, engine, ops, n_shards
-    ):
+    def test_random_interleavings_preserve_last_record_wins(self, engine, ops):
         with tempfile.TemporaryDirectory() as tmp:
-            store = open_store_backend(engine, tmp, n_shards=n_shards)
+            store = open_store_backend(engine, tmp)
             model = {}
             for op in ops:
                 self._apply(store, model, op)
@@ -181,23 +175,19 @@ class TestStoreProperties:
             store.compact()  # a final compact changes nothing observable
             assert {r["job_id"]: r for r in store.records()} == model
             # and a fresh reader of the same directory agrees
-            reread = open_store_backend(engine, tmp, n_shards=n_shards)
+            reread = open_store_backend(engine, tmp)
             assert {r["job_id"]: r for r in reread.records()} == model
 
-    @pytest.mark.parametrize("target", ["sharded", "sqlite"])
     @given(
         records=st.lists(
             st.tuples(_job_ids, st.sampled_from(["done", "failed"]),
                       st.integers(0, 9)),
             max_size=30,
         ),
-        n_shards=st.integers(1, 5),
         torn_tail=st.booleans(),
     )
     @slow_settings
-    def test_legacy_migration_is_lossless_and_idempotent(
-        self, target, records, n_shards, torn_tail
-    ):
+    def test_legacy_migration_is_lossless_and_idempotent(self, records, torn_tail):
         with tempfile.TemporaryDirectory() as tmp:
             legacy = ResultStore(Path(tmp) / "results.jsonl")
             for jid, status, v in records:
@@ -207,19 +197,13 @@ class TestStoreProperties:
                     fh.write('{"job_id": "zz", "stat')  # hard-kill artifact
             expected = {r["job_id"]: r for r in legacy.records()}
 
-            if target == "sharded":
-                migrated = open_store(tmp, shards=n_shards)
-                assert isinstance(migrated, ShardedResultStore)
-            else:
-                migrated = open_store(tmp, engine="sqlite")
+            migrated = open_store(tmp, engine="sqlite")
             assert {r["job_id"]: r for r in migrated.records()} == expected
             assert not (Path(tmp) / "results.jsonl").exists()
 
             # idempotent: re-resolving (and re-migrating) changes nothing
             again = open_store(tmp)
             assert type(again) is type(migrated)
-            if target == "sharded":
-                assert again.n_shards == n_shards
             assert {r["job_id"]: r for r in again.records()} == expected
             again.compact()
             assert {r["job_id"]: r for r in again.records()} == expected
