@@ -9,15 +9,15 @@ the store the way :mod:`repro.mw.tcp` completed it for task dispatch:
 * :class:`StoreServer` wraps any local
   :class:`~repro.campaign.backends.base.StoreBackend` (``campaign
   store-serve`` defaults to the SQLite engine) behind a framed TCP
-  listener built from the same machinery as the mw transport —
-  length-prefixed frames (:func:`repro.mw.codec.encode_frame`), one
-  reader thread per connection, keepalive + Nagle-off on every socket.
-  Frame payloads are JSON, not the typed TLV codec: store records are
+  listener built from the same :mod:`repro.wire` stack as the mw
+  transport — length-prefixed frames, one selector loop answering every
+  client on one thread, keepalive + Nagle-off on every socket.  Frame
+  payloads are JSON, not the typed TLV codec: store records are
   JSON-serializable by construction (that is how every engine persists
-  them), and the C JSON encoder keeps the wire overhead on a
-  100-record batch to a fraction of what the Python TLV walker costs —
-  which is what holds ``store://`` throughput within its 2x budget of
-  the local engine it fronts.
+  them), and on exactly these payloads the C JSON codec encodes a
+  ``record_many`` request 2–3x and decodes it about 4x faster than the
+  Python TLV walker, in frames about a quarter smaller
+  (``docs/CAMPAIGNS.md`` has the measurement).
 * :class:`NetworkStoreBackend` is the client: a full ``StoreBackend``
   implementation that speaks request/response frames over one socket,
   registered as the ``store://host:port`` engine, so ``campaign run
@@ -44,7 +44,7 @@ Wire-level design points:
   reads, flagged so the client replaces instead of folds.
 * **Reconnect with resume.**  A broken connection (server restart,
   transient partition) is not fatal: the client redials with the shared
-  exponential-backoff helper (:func:`repro.mw.tcp.dial_with_backoff`),
+  exponential-backoff helper (:func:`repro.wire.dial_with_backoff`),
   re-handshakes, *re-asserts the leases it held* via a claim (its own
   or expired leases re-grant; completed jobs are skipped), resets its
   read cache, and retries the failed request once.  Every request is
@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import copy
 import json
+import selectors
 import socket
 import threading
 from pathlib import Path
@@ -77,18 +78,17 @@ from repro.campaign.backends.base import (
     _write_manifest_file,
     read_manifest,
 )
-from repro.mw.codec import (
+from repro.wire import (
+    RECV_CHUNK_BYTES,
     CodecError,
-    FRAME_HEADER_BYTES,
-    MAX_FRAME_BYTES,
-    decode_frame_length,
-    encode_frame,
-)
-from repro.mw.tcp import (
-    _disable_nagle,
-    _enable_keepalive,
+    close_quietly,
     dial_with_backoff,
-    recv_exact,
+    disable_nagle,
+    enable_keepalive,
+    encode_frame,
+    parse_url,
+    read_frame,
+    split_frames,
 )
 
 #: The engine identifier ``store-manifest.json`` records for a campaign
@@ -101,6 +101,11 @@ STORE_URL_PREFIX = "store://"
 #: Protocol version carried in the hello handshake; a mismatch is
 #: refused up front instead of failing on some later frame.
 STORE_PROTOCOL_VERSION = 1
+
+#: Seconds a reply may make no progress before the server drops its
+#: client.  One thread answers every client, so a client that stops
+#: reading stalls the others for at most this long.
+SEND_TIMEOUT_S = 5.0
 
 
 class NetworkStoreError(OSError):
@@ -119,48 +124,31 @@ def is_store_url(spec: Any) -> bool:
 
 
 def parse_store_url(url: str) -> Tuple[str, int]:
-    """Split ``store://host:port`` into ``(host, port)``.
-
-    Port 0 is accepted (a server may listen ephemerally); clients
-    reject it separately since they need a concrete peer.
-    """
-    if not is_store_url(url):
-        raise ValueError(f"expected a store://host:port URL, got {url!r}")
-    rest = url[len(STORE_URL_PREFIX):]
-    host, sep, port_s = rest.rpartition(":")
-    if not sep or not host:
-        raise ValueError(f"expected a store://host:port URL, got {url!r}")
-    try:
-        port = int(port_s)
-    except ValueError:
-        raise ValueError(f"invalid port {port_s!r} in {url!r}") from None
-    if not (0 <= port <= 65535):
-        raise ValueError(f"port out of range in {url!r}")
-    return host, port
+    """Split ``store://host:port`` into ``(host, port)`` (see :func:`repro.wire.parse_url`)."""
+    return parse_url(url, "store")
 
 
 def _parse_listen(spec: str) -> Tuple[str, int]:
     """Parse a server ``--listen`` spec: ``host:port`` or a store:// URL."""
-    if is_store_url(spec):
-        return parse_store_url(spec)
-    return parse_store_url(STORE_URL_PREFIX + spec)
+    return parse_store_url(spec if is_store_url(spec) else STORE_URL_PREFIX + spec)
 
 
 def _send_obj(sock: socket.socket, obj: dict) -> None:
-    """Write one length-prefixed JSON request/response dict."""
-    sock.sendall(encode_frame(json.dumps(obj, separators=(",", ":")).encode()))
+    """Write one length-prefixed JSON dict.
+
+    The socket's timeout bounds each stall rather than the whole frame,
+    so a large reply to a slow but live reader still goes through.
+    """
+    view = memoryview(encode_frame(json.dumps(obj, separators=(",", ":")).encode()))
+    while view:
+        view = view[sock.send(view):]
 
 
-def _recv_obj(sock: socket.socket, allow_eof: bool = False) -> Optional[dict]:
-    """Read one length-prefixed JSON dict; ``None`` on clean EOF between frames."""
-    header = recv_exact(sock, FRAME_HEADER_BYTES, allow_eof=allow_eof)
-    if header is None:
-        return None
-    length = decode_frame_length(header, MAX_FRAME_BYTES)
-    payload = recv_exact(sock, length)
+def _decode_obj(payload: bytes) -> dict:
+    """Parse one JSON request/response dict; :class:`CodecError` otherwise."""
     try:
         obj = json.loads(payload)
-    except ValueError:
+    except (ValueError, RecursionError):  # RecursionError: hostile nesting
         raise CodecError("store frame payload is not valid JSON") from None
     if not isinstance(obj, dict):
         raise CodecError(f"expected a dict frame, got {type(obj).__name__}")
@@ -170,20 +158,39 @@ def _recv_obj(sock: socket.socket, allow_eof: bool = False) -> Optional[dict]:
 # -- server ----------------------------------------------------------------
 
 
+class _Client:
+    """One server-side connection's receive buffer and handshake state."""
+
+    __slots__ = ("buf", "greeted")
+
+    def __init__(self) -> None:
+        self.buf = bytearray()
+        self.greeted = False
+
+
 class StoreServer:
     """Serve one local :class:`StoreBackend` to ``store://`` clients.
 
-    The listener pattern mirrors :class:`repro.mw.tcp.TcpMasterTransport`:
-    a background accept loop polling with a short timeout (closing a
-    listener does not wake ``accept`` on Linux), one daemon thread per
-    connection, keepalive so vanished peers surface instead of leaking
-    sockets.  Requests are dispatched under one server-side lock — every
-    engine batches its critical sections anyway (``flock`` per append,
-    ``BEGIN IMMEDIATE`` per claim), so serializing sub-millisecond
-    operations costs little and buys every backend, stamped or not, a
-    consistent view across concurrent clients.
+    One selector loop answers every client, like the receive path of
+    :class:`repro.mw.tcp.TcpMasterTransport`: it accepts on the
+    non-blocking listener, reads each connection into its own buffer,
+    splits complete frames with :func:`repro.wire.split_frames`, and
+    runs the requests one at a time on the loop's thread.  Serving in
+    sequence needs no lock and no thread per client, and costs little —
+    every engine batches its critical sections anyway (``flock`` per
+    append, ``BEGIN IMMEDIATE`` per claim), and one request at a time
+    gives every backend, stamped or not, a consistent view across
+    clients.
 
-    The server does not own the backend: callers (the CLI, the test
+    A connection's first frame must be an accepted hello; a refused
+    hello is answered and the connection closed.  EOF, a malformed or
+    oversized frame, or a reply that makes no progress for
+    :data:`SEND_TIMEOUT_S` (a client that stops reading) drops that
+    connection alone.
+
+    :meth:`start` runs the loop on one background thread;
+    :meth:`serve_forever` runs it on the caller's thread instead.  The
+    server does not own the backend: callers (the CLI, the test
     fixture) close what they opened.
 
     Parameters
@@ -193,134 +200,153 @@ class StoreServer:
         defaults to SQLite.
     listen:
         ``host:port`` to bind (port 0 picks an ephemeral port; read the
-        result from :attr:`address` after :meth:`start`).
+        result from :attr:`address` after :meth:`bind`).
     """
 
     def __init__(self, backend: StoreBackend, listen: str = "127.0.0.1:0") -> None:
         self._backend = backend
         self.host, self.port = _parse_listen(listen)
         self._listener: Optional[socket.socket] = None
-        self._lock = threading.Lock()          # connection registry + closing flag
-        self._dispatch_lock = threading.Lock()  # serializes backend access
-        self._conns: Set[socket.socket] = set()
-        self._threads: List[threading.Thread] = []
+        # The listener, the waker's read end and every client, each key's
+        # data a _Client for connections and None otherwise.
+        self._selector: Optional[selectors.BaseSelector] = None
+        self._waker: Optional[Tuple[socket.socket, socket.socket]] = None
+        self._thread: Optional[threading.Thread] = None
         self._closing = False
-        self._closed = threading.Event()
 
     # -- lifecycle ---------------------------------------------------------
 
-    def start(self) -> None:
-        """Bind the listener and start accepting clients in the background."""
+    def bind(self) -> None:
+        """Bind the listener, resolving :attr:`address`; idempotent."""
+        if self._listener is not None:
+            return
         self._listener = socket.create_server(
             (self.host, self.port), backlog=16, reuse_port=False
         )
-        self._listener.settimeout(0.25)
+        self._listener.setblocking(False)
         self.port = self._listener.getsockname()[1]
-        t = threading.Thread(
-            target=self._accept_loop, daemon=True, name="store-serve-accept"
+        self._waker = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ, None)
+        self._selector.register(self._waker[0], selectors.EVENT_READ, None)
+
+    def start(self) -> None:
+        """Bind, then serve every client from one background thread."""
+        self.bind()
+        self._thread = threading.Thread(
+            target=self._serve, daemon=True, name="store-serve"
         )
-        t.start()
-        self._threads.append(t)
+        self._thread.start()
 
     @property
     def address(self) -> str:
-        """The bound ``store://host:port`` (port resolved after ``start``)."""
+        """The bound ``store://host:port`` (port resolved after ``bind``)."""
         return f"{STORE_URL_PREFIX}{self.host}:{self.port}"
 
     def serve_forever(self) -> None:
-        """Block until :meth:`close` is called (the CLI foreground mode).
+        """Serve on the caller's thread until :meth:`close` (instead of :meth:`start`).
 
-        Polls rather than waiting untimed: an untimed ``Event.wait`` in
-        the main thread parks in a futex where SIGINT is never serviced,
-        and Ctrl-C is exactly how ``campaign store-serve`` stops.
+        The CLI's foreground mode: ``campaign store-serve`` installs
+        SIGINT/SIGTERM handlers that raise, which interrupt the select
+        directly; the loop closes every socket on the way out.
         """
-        if self._listener is None:
-            self.start()
-        while not self._closed.wait(0.5):
-            pass
+        self.bind()
+        self._thread = threading.current_thread()
+        self._serve()
 
     def close(self) -> None:
-        """Stop accepting, drop every connection, join threads; idempotent.
+        """Stop serving and drop every connection; idempotent.
 
         The served backend is *not* closed — the opener owns it.
         """
-        with self._lock:
-            if self._closing:
-                return
-            self._closing = True
-            conns = list(self._conns)
-            self._conns.clear()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        for sock in conns:
-            try:
-                sock.close()
-            except OSError:
-                pass
-        for t in self._threads:
-            t.join(timeout=5.0)
-        self._closed.set()
+        if self._closing:
+            return
+        self._closing = True
+        if self._waker is None:
+            return  # never bound
+        try:
+            self._waker[1].send(b"\0")
+        except OSError:
+            pass  # the loop already exited and closed it
+        thread = self._thread
+        if thread is not None and thread is not threading.current_thread():
+            thread.join(timeout=5.0)
+        if thread is None or not thread.is_alive():
+            self._teardown()  # else the loop tears down as it exits
 
-    # -- connection plumbing -----------------------------------------------
+    # -- the selector loop -------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        """Accept clients until the listener closes."""
+    def _serve(self) -> None:
+        """Accept, read and answer until :meth:`close`, then tear down."""
+        try:
+            while not self._closing:
+                for key, _events in self._selector.select():
+                    if key.data is not None:
+                        self._read(key.fileobj, key.data)
+                    elif key.fileobj is self._listener:
+                        self._accept()
+                    # else the waker: close() set _closing before writing it
+        finally:
+            self._teardown()
+
+    def _teardown(self) -> None:
+        """Close every registered socket and the selector; idempotent."""
+        selector, self._selector = self._selector, None
+        if selector is None:
+            return
+        for key in list(selector.get_map().values()):
+            close_quietly(key.fileobj)
+        selector.close()
+        close_quietly(self._waker[1])
+
+    def _accept(self) -> None:
+        """Register every pending connection with the selector."""
         while True:
             try:
                 sock, _addr = self._listener.accept()
-            except socket.timeout:
-                with self._lock:
-                    if self._closing:
-                        return
-                continue
-            except OSError:
-                return  # listener closed
-            with self._lock:
-                if self._closing:
-                    try:
-                        sock.close()
-                    except OSError:
-                        pass
-                    return
-                self._conns.add(sock)
-                t = threading.Thread(
-                    target=self._serve_conn, args=(sock,),
-                    daemon=True, name="store-serve-conn",
-                )
-                self._threads.append(t)
-            t.start()
+            except OSError:  # none pending (or a transient accept error)
+                return
+            sock.settimeout(SEND_TIMEOUT_S)  # bounds reply stalls only
+            enable_keepalive(sock)
+            disable_nagle(sock)
+            self._selector.register(sock, selectors.EVENT_READ, _Client())
 
-    def _serve_conn(self, sock: socket.socket) -> None:
-        """Request/response loop for one client until EOF or error."""
-        _enable_keepalive(sock)
-        _disable_nagle(sock)
-        greeted = False
+    def _read(self, sock: socket.socket, client: _Client) -> None:
+        """Answer every complete request a readable connection has sent.
+
+        EOF, a socket error, a malformed frame, or a refused handshake
+        drops this connection alone.
+        """
         try:
-            while True:
-                request = _recv_obj(sock, allow_eof=True)
-                if request is None:
-                    break
-                if not greeted:
-                    if request.get("op") != "hello":
-                        _send_obj(sock, {
-                            "ok": False, "kind": "ProtocolError",
-                            "error": "first frame must be a hello",
-                        })
+            chunk = sock.recv(RECV_CHUNK_BYTES)
+            keep = bool(chunk)
+            if keep:
+                client.buf += chunk
+                for payload in split_frames(client.buf):
+                    keep = self._answer(sock, client, _decode_obj(payload))
+                    if not keep:
                         break
-                    greeted = True
-                _send_obj(sock, self._dispatch(request))
         except (OSError, CodecError):
-            pass  # client gone or stream corrupt; nothing to answer
-        finally:
-            with self._lock:
-                self._conns.discard(sock)
-            try:
-                sock.close()
-            except OSError:
-                pass
+            keep = False
+        if not keep:
+            self._selector.unregister(sock)
+            close_quietly(sock)
+
+    def _answer(self, sock: socket.socket, client: _Client, request: dict) -> bool:
+        """Reply to one request; ``False`` once the connection must end.
+
+        Until a hello is accepted, nothing but a hello is served.
+        """
+        greeting = not client.greeted
+        if greeting and request.get("op") != "hello":
+            reply = {"ok": False, "kind": "ProtocolError",
+                     "error": "first frame must be a hello"}
+        else:
+            reply = self._dispatch(request)
+        _send_obj(sock, reply)
+        if greeting:
+            client.greeted = reply["ok"]
+        return client.greeted
 
     # -- dispatch ----------------------------------------------------------
 
@@ -337,8 +363,7 @@ class StoreServer:
             return {"ok": False, "kind": "ProtocolError",
                     "error": f"unknown op {op!r}"}
         try:
-            with self._dispatch_lock:
-                result = handler(request)
+            result = handler(request)
         except Exception as exc:  # noqa: BLE001 - boundary: errors become frames
             return {"ok": False, "kind": type(exc).__name__, "error": str(exc)}
         result["ok"] = True
@@ -480,10 +505,10 @@ class NetworkStoreBackend(StoreBackend):
                    else self.connect_timeout)
         sock = dial_with_backoff(self.host, self.port, timeout)
         sock.settimeout(max(timeout, 30.0))
-        _enable_keepalive(sock)
-        _disable_nagle(sock)
+        enable_keepalive(sock)
+        disable_nagle(sock)
         try:
-            reply = self._roundtrip(sock, {
+            self._roundtrip(sock, {
                 "op": "hello", "version": STORE_PROTOCOL_VERSION,
             })
             if self._ever_connected:
@@ -503,11 +528,8 @@ class NetworkStoreBackend(StoreBackend):
                 # drop the read cache rather than trust a foreign stamp.
                 self._by_id = {}
                 self._stamp = 0
-        except (OSError, CodecError):
-            try:
-                sock.close()
-            except OSError:
-                pass
+        except (OSError, ValueError):  # CodecError and a refused hello too
+            close_quietly(sock)
             raise
         self._ever_connected = True
         self._sock = sock
@@ -516,9 +538,10 @@ class NetworkStoreBackend(StoreBackend):
     def _roundtrip(self, sock: socket.socket, request: dict) -> dict:
         """One raw request/response exchange; raises on any failure."""
         _send_obj(sock, request)
-        reply = _recv_obj(sock)
-        if reply is None:
+        payload = read_frame(sock)
+        if payload is None:
             raise CodecError("store server closed the connection mid-request")
+        reply = _decode_obj(payload)
         if not reply.get("ok"):
             kind = reply.get("kind")
             error = str(reply.get("error"))
@@ -530,10 +553,7 @@ class NetworkStoreBackend(StoreBackend):
 
     def _drop_sock(self) -> None:
         if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
+            close_quietly(self._sock)
             self._sock = None
 
     def _call(self, op: str, _request_fn=None, **fields: Any) -> dict:

@@ -468,7 +468,7 @@ def _cmd_campaign_store_serve(args: argparse.Namespace) -> int:
         return 2
     server = StoreServer(backend, listen=args.listen)
     try:
-        server.start()
+        server.bind()
     except OSError as exc:
         print(f"error: cannot listen on {args.listen}: {exc}", file=sys.stderr)
         backend.close()

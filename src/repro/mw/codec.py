@@ -6,6 +6,10 @@ service for the Python reproduction: a small tag-length-value serialization
 for the types that cross the master/worker boundary (scalars, strings, bytes,
 lists, tuples, dicts and NumPy arrays).  No pickle — the format is explicit,
 versioned by construction, and round-trip tested property-style.
+
+The length-prefixed frame around an encoded payload lives in
+:mod:`repro.wire`, which also defines :class:`CodecError` so that a bad
+frame and a bad payload fail the same way.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import struct
 from typing import Any, Tuple
 
 import numpy as np
+
+from repro.wire import CodecError
 
 _TAG_NONE = b"N"
 _TAG_TRUE = b"T"
@@ -37,55 +43,6 @@ _F64 = struct.Struct("<d")
 
 _INT_MIN = -(2**63)
 _INT_MAX = 2**63 - 1
-
-
-class CodecError(ValueError):
-    """Raised for unsupported types or malformed wire data."""
-
-
-#: Hard ceiling on one framed payload (64 MiB).  A corrupt or hostile
-#: length prefix must fail loudly instead of allocating unbounded memory
-#: or stalling a socket read for data that will never arrive.
-MAX_FRAME_BYTES = 64 * 1024 * 1024
-
-_FRAME_HEADER = struct.Struct(">I")
-
-#: Bytes in a frame's length prefix.
-FRAME_HEADER_BYTES = _FRAME_HEADER.size
-
-
-def encode_frame(payload: bytes, max_bytes: int = MAX_FRAME_BYTES) -> bytes:
-    """Length-prefix ``payload`` for a stream transport (big-endian u32).
-
-    Raises :class:`CodecError` if the payload exceeds ``max_bytes`` — the
-    sender-side half of the frame-size contract enforced by
-    :func:`decode_frame_length` on the receiver.
-    """
-    if len(payload) > max_bytes:
-        raise CodecError(
-            f"frame of {len(payload)} bytes exceeds the {max_bytes}-byte limit"
-        )
-    return _FRAME_HEADER.pack(len(payload)) + payload
-
-
-def decode_frame_length(header: bytes, max_bytes: int = MAX_FRAME_BYTES) -> int:
-    """Validate a frame header and return the payload length it declares.
-
-    Raises :class:`CodecError` on a short header (truncated stream) or an
-    oversized declared length, so framed readers never hang waiting for —
-    or allocate — data a corrupt prefix promises.
-    """
-    if len(header) != FRAME_HEADER_BYTES:
-        raise CodecError(
-            f"truncated frame header: got {len(header)} of "
-            f"{FRAME_HEADER_BYTES} bytes"
-        )
-    (length,) = _FRAME_HEADER.unpack(header)
-    if length > max_bytes:
-        raise CodecError(
-            f"frame of {length} bytes exceeds the {max_bytes}-byte limit"
-        )
-    return length
 
 
 def pack(obj: Any) -> bytes:

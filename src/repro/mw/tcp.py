@@ -3,10 +3,10 @@
 Completes the paper's §4.3 picture — evaluation workers on *remote
 processors* — with a small framed protocol over plain sockets:
 
-* every frame is a big-endian u32 length prefix followed by one
-  codec-encoded :class:`~repro.mw.messages.Message` (see
-  :func:`repro.mw.codec.encode_frame`; truncated or oversized frames
-  raise :class:`~repro.mw.codec.CodecError`, never hang);
+* every frame is a :mod:`repro.wire` frame — a big-endian u32 length
+  prefix — around one codec-encoded :class:`~repro.mw.messages.Message`
+  (truncated or oversized frames raise :class:`~repro.wire.CodecError`,
+  never hang);
 * the master (:class:`TcpMasterTransport`) listens on ``tcp://host:port``
   and accepts workers whenever they show up — *late joiners* are welcome,
   which is how a campaign master on one host is served by workers
@@ -21,8 +21,8 @@ processors* — with a small framed protocol over plain sockets:
 * after the handshake the master runs no thread per connection: the
   driver's own thread reads every worker through one selector inside
   :meth:`TcpMasterTransport.recv` and :meth:`TcpMasterTransport.poll`,
-  splitting complete frames out of a per-connection buffer (the same
-  length-prefix and size checks as :func:`recv_frame`);
+  splitting complete frames out of a per-connection buffer with
+  :func:`repro.wire.split_frames`;
 * workers heartbeat between tasks; a silent or disconnected worker is
   reported dead through :meth:`TcpMasterTransport.poll`, which feeds the
   driver's existing crash-requeue path, and its rank becomes free so a
@@ -39,7 +39,6 @@ CLI as ``python -m repro mw-worker tcp://host:port``.
 
 from __future__ import annotations
 
-import random
 import selectors
 import socket
 import threading
@@ -49,13 +48,6 @@ from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Sequence, T
 
 import numpy as np
 
-from repro.mw.codec import (
-    CodecError,
-    FRAME_HEADER_BYTES,
-    MAX_FRAME_BYTES,
-    decode_frame_length,
-    encode_frame,
-)
 from repro.mw.messages import (
     MSG_HEARTBEAT,
     MSG_HELLO,
@@ -78,6 +70,22 @@ from repro.mw.transport import (
 )
 from repro.mw.worker import Executor, MWWorker
 from repro.telemetry.metrics import NULL_COUNTER, NULL_HISTOGRAM
+# send_frame looks encode_frame up through this module's globals and
+# recv_exact is re-exported: perfbench/hooks.py wraps both as attributes
+# of repro.mw.tcp.
+from repro.wire import (
+    RECV_CHUNK_BYTES,
+    CodecError,
+    close_quietly,
+    dial_with_backoff,
+    disable_nagle,
+    enable_keepalive,
+    encode_frame,
+    parse_url,
+    read_frame,
+    recv_exact,  # noqa: F401 - re-exported
+    split_frames,
+)
 
 #: Protocol version carried in the hello/welcome handshake.
 #: Version 2 added the homogeneous ``list[str]``/``list[int]`` codec tags,
@@ -91,80 +99,6 @@ DEFAULT_HEARTBEAT_INTERVAL = 1.0
 #: (no heartbeat, result, or error frame) is presumed crashed.
 HEARTBEAT_TIMEOUT_INTERVALS = 5.0
 
-#: Bytes the master asks the kernel for per readable connection; a reply
-#: frame is well under this, and larger frames simply take several reads.
-RECV_CHUNK_BYTES = 64 * 1024
-
-
-def parse_tcp_url(url: str) -> Tuple[str, int]:
-    """Split ``tcp://host:port`` into ``(host, port)``; port may be 0."""
-    if not url.startswith("tcp://"):
-        raise ValueError(f"expected a tcp://host:port URL, got {url!r}")
-    rest = url[len("tcp://") :]
-    host, sep, port_s = rest.rpartition(":")
-    if not sep or not host:
-        raise ValueError(f"expected a tcp://host:port URL, got {url!r}")
-    try:
-        port = int(port_s)
-    except ValueError:
-        raise ValueError(f"invalid port {port_s!r} in {url!r}") from None
-    if not (0 <= port <= 65535):
-        raise ValueError(f"port out of range in {url!r}")
-    return host, port
-
-
-def dial_with_backoff(
-    host: str,
-    port: int,
-    timeout: float,
-    attempt_timeout: float = 5.0,
-    base_delay: float = 0.05,
-    max_delay: float = 2.0,
-) -> socket.socket:
-    """Dial ``(host, port)``, retrying with exponential backoff until ``timeout``.
-
-    The shared dial loop of every client in the package (mw workers, the
-    network store client): each failed attempt doubles the sleep from
-    ``base_delay`` up to ``max_delay``, jittered by a random factor in
-    ``[0.5, 1.0]`` so a fleet of workers restarting together does not
-    reconnect in lockstep.  When the deadline passes, the raised
-    ``OSError`` names the peer and carries the *last* underlying error —
-    a refused port, an unresolvable host, and an unreachable network all
-    read differently instead of vanishing into a bare timeout.
-    """
-    deadline = time.monotonic() + float(timeout)
-    delay = float(base_delay)
-    while True:
-        try:
-            return socket.create_connection((host, port), timeout=attempt_timeout)
-        except OSError as exc:
-            now = time.monotonic()
-            if now >= deadline:
-                raise OSError(
-                    f"could not connect to {host}:{port} within "
-                    f"{float(timeout):g}s (last error: {exc})"
-                ) from exc
-            time.sleep(min(delay, deadline - now) * random.uniform(0.5, 1.0))
-            delay = min(delay * 2.0, float(max_delay))
-
-
-def recv_exact(sock: socket.socket, n: int, allow_eof: bool = False) -> Optional[bytes]:
-    """Read exactly ``n`` bytes from a blocking socket.
-
-    A clean EOF *between* frames returns ``None`` when ``allow_eof`` is
-    set; EOF mid-read always raises :class:`CodecError` (a truncated
-    frame must be an error, never a hang or a silent short read).
-    """
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            if allow_eof and not buf:
-                return None
-            raise CodecError(f"connection closed mid-frame ({len(buf)}/{n} bytes)")
-        buf += chunk
-    return bytes(buf)
-
 
 def send_frame(sock: socket.socket, message: Message) -> None:
     """Write one framed message to the socket."""
@@ -173,57 +107,8 @@ def send_frame(sock: socket.socket, message: Message) -> None:
 
 def recv_frame(sock: socket.socket) -> Optional[Message]:
     """Read one framed message; ``None`` on clean EOF at a frame boundary."""
-    header = recv_exact(sock, FRAME_HEADER_BYTES, allow_eof=True)
-    if header is None:
-        return None
-    length = decode_frame_length(header, MAX_FRAME_BYTES)
-    data = recv_exact(sock, length)
-    return decode_message(data)
-
-
-def _enable_keepalive(
-    sock: socket.socket, idle: int = 30, interval: int = 10, count: int = 3
-) -> None:
-    """Arm kernel TCP keepalive so a vanished peer surfaces as an error.
-
-    Heartbeat frames only protect the *master* against silent workers; a
-    master host that power-cuts or partitions away would otherwise leave
-    workers blocked in ``recv`` on a half-open connection forever.  With
-    these defaults a dead peer is detected within roughly
-    ``idle + interval * count`` seconds.  Tuning options are set
-    best-effort (not every platform exposes them); the base switch is
-    POSIX-universal.
-    """
-    try:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
-    except OSError:  # pragma: no cover - keepalive unsupported
-        return
-    for option, value in (
-        (getattr(socket, "TCP_KEEPIDLE", None), idle),
-        (getattr(socket, "TCP_KEEPINTVL", None), interval),
-        (getattr(socket, "TCP_KEEPCNT", None), count),
-    ):
-        if option is not None:
-            try:
-                sock.setsockopt(socket.IPPROTO_TCP, option, value)
-            except OSError:  # pragma: no cover - platform-specific
-                pass
-
-
-def _disable_nagle(sock: socket.socket) -> None:
-    """Turn off Nagle's algorithm (``TCP_NODELAY``) best-effort.
-
-    The protocol is strict request/response per connection — the peer
-    cannot make progress until the frame it is waiting for arrives — so
-    Nagle's coalescing delay buys nothing and its interaction with
-    delayed ACKs taxes every task/reply frame.  Measurable on the async
-    hot path, where a campaign master pushes thousands of small frames
-    per second.
-    """
-    try:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    except OSError:  # pragma: no cover - option unsupported
-        pass
+    data = read_frame(sock)
+    return None if data is None else decode_message(data)
 
 
 def _seed_payload(seq: np.random.SeedSequence) -> dict:
@@ -294,7 +179,7 @@ class TcpMasterTransport(Transport):
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         heartbeat_timeout: Optional[float] = None,
     ) -> None:
-        self.host, self.port = parse_tcp_url(url)
+        self.host, self.port = parse_url(url, "tcp")
         if heartbeat_interval <= 0:
             raise ValueError(f"heartbeat_interval must be > 0, got {heartbeat_interval}")
         self.n_workers = int(n_workers)
@@ -387,15 +272,9 @@ class TcpMasterTransport(Transport):
                 send_frame(sock, Message(tag=MSG_SHUTDOWN, sender=0))
             except (OSError, CodecError):
                 pass
-            try:
-                sock.close()
-            except OSError:
-                pass
+            close_quietly(sock)
         if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            close_quietly(self._listener)
         if self._selector is not None:
             self._selector.close()
         for end in self._waker or ():
@@ -429,10 +308,7 @@ class TcpMasterTransport(Transport):
         try:
             self._handshake(sock)
         except (OSError, CodecError, ValueError):
-            try:
-                sock.close()
-            except OSError:
-                pass
+            close_quietly(sock)
 
     def _handshake(self, sock: socket.socket) -> None:
         """Welcome one connecting worker onto a free rank (or turn it away)."""
@@ -481,8 +357,8 @@ class TcpMasterTransport(Transport):
         # blocking from here: the driver thread only reads a connection
         # the selector reported readable, and sendall needs blocking mode
         sock.settimeout(None)
-        _enable_keepalive(sock)
-        _disable_nagle(sock)
+        enable_keepalive(sock)
+        disable_nagle(sock)
         with self._lock:
             if self._conns.get(rank) is not sock:
                 # swept dead (welcome stalled past the heartbeat window) or
@@ -523,10 +399,7 @@ class TcpMasterTransport(Transport):
         except (KeyError, ValueError):
             pass  # not adopted yet, or the selector is closed
         self._forget(rank, sock)
-        try:
-            sock.close()
-        except OSError:
-            pass
+        close_quietly(sock)
 
     def _adopt_joined(self) -> None:
         """Register connections welcomed since the last call with the selector."""
@@ -570,23 +443,12 @@ class TcpMasterTransport(Transport):
                 chunk = sock.recv(RECV_CHUNK_BYTES)
                 if chunk:
                     buf += chunk
-                    self._split_frames(rank, sock, buf)
+                    for payload in split_frames(buf):
+                        self._receive(rank, sock, decode_message(payload))
                     continue
             except (OSError, CodecError):
                 pass
             self._drop(rank, sock)  # EOF, socket error or malformed frame
-
-    def _split_frames(self, rank: int, sock: socket.socket, buf: bytearray) -> None:
-        """Consume every complete frame at the head of ``buf``."""
-        start = 0
-        while len(buf) - start >= FRAME_HEADER_BYTES:
-            body = start + FRAME_HEADER_BYTES
-            end = body + decode_frame_length(buf[start:body], MAX_FRAME_BYTES)
-            if end > len(buf):
-                break
-            self._receive(rank, sock, decode_message(bytes(buf[body:end])))
-            start = end
-        del buf[:start]
 
     def _receive(self, rank: int, sock: socket.socket, message: Message) -> None:
         """Note the sign of life; keep a reply, consume a heartbeat."""
@@ -709,7 +571,7 @@ class TcpWorkerEndpoint:
         connect_timeout: float = 30.0,
         caps: Optional[Iterable[str]] = None,
     ) -> None:
-        self.host, self.port = parse_tcp_url(url)
+        self.host, self.port = parse_url(url, "tcp")
         if self.port == 0:
             raise ValueError(f"worker needs an explicit master port, got {url!r}")
         self.executor = executor
@@ -753,10 +615,7 @@ class TcpWorkerEndpoint:
             return self._serve(sock)
         finally:
             self._stop_heartbeat.set()
-            try:
-                sock.close()
-            except OSError:
-                pass
+            close_quietly(sock)
 
     def _serve(self, sock: socket.socket) -> dict:
         """The handshake + task loop on an established connection."""
@@ -788,8 +647,8 @@ class TcpWorkerEndpoint:
         # keepalive so a master that vanishes without FIN/RST still
         # unblocks the loop instead of orphaning the worker process
         sock.settimeout(None)
-        _enable_keepalive(sock)
-        _disable_nagle(sock)
+        enable_keepalive(sock)
+        disable_nagle(sock)
         interval = float(payload.get("heartbeat_interval", DEFAULT_HEARTBEAT_INTERVAL))
         beat = threading.Thread(
             target=self._heartbeat_loop, args=(sock, interval),

@@ -1,7 +1,8 @@
 """Docstring coverage gate for the public API.
 
 Every exported name of the campaign subsystem, the parallel map helpers,
-and the mw driver/worker/task layer must carry a docstring, and so must
+the mw driver/worker/task layer and the shared socket stack
+(``repro.wire``) must carry a docstring, and so must
 the public methods and properties those classes define.  This is the CI
 check behind the documentation pass: adding an undocumented public name
 to these modules fails the build.
@@ -18,6 +19,7 @@ MODULES = [
     "repro.campaign.aggregate",
     "repro.campaign.backends",
     "repro.campaign.backends.base",
+    "repro.campaign.backends.netstore",
     "repro.campaign.backends.sqlite",
     "repro.campaign.execution",
     "repro.campaign.progress",
@@ -41,6 +43,7 @@ MODULES = [
     "repro.telemetry",
     "repro.telemetry.metrics",
     "repro.telemetry.trace",
+    "repro.wire",
 ]
 
 

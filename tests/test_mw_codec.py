@@ -106,10 +106,10 @@ class TestErrors:
 
 
 class TestFraming:
-    """The length-prefixed frame layer used by stream transports."""
+    """The length-prefixed frame layer (:mod:`repro.wire`) around codec payloads."""
 
     def test_frame_roundtrip(self):
-        from repro.mw.codec import decode_frame_length, encode_frame
+        from repro.wire import decode_frame_length, encode_frame
 
         payload = pack({"task_id": 1, "work": [1.0, 2.0]})
         frame = encode_frame(payload)
@@ -117,7 +117,7 @@ class TestFraming:
         assert frame[4:] == payload
 
     def test_oversized_frame_rejected_on_encode(self):
-        from repro.mw.codec import encode_frame
+        from repro.wire import encode_frame
 
         with pytest.raises(CodecError, match="exceeds"):
             encode_frame(b"x" * 100, max_bytes=10)
@@ -126,20 +126,20 @@ class TestFraming:
         """A corrupt/hostile length prefix must fail, not allocate or hang."""
         import struct
 
-        from repro.mw.codec import decode_frame_length
+        from repro.wire import decode_frame_length
 
         header = struct.pack(">I", 2**31)
         with pytest.raises(CodecError, match="exceeds"):
             decode_frame_length(header)
 
     def test_short_header_rejected(self):
-        from repro.mw.codec import decode_frame_length
+        from repro.wire import decode_frame_length
 
         with pytest.raises(CodecError, match="truncated frame header"):
             decode_frame_length(b"\x00\x01")
 
     def test_default_limit_accepts_real_messages(self):
-        from repro.mw.codec import MAX_FRAME_BYTES, decode_frame_length, encode_frame
+        from repro.wire import MAX_FRAME_BYTES, decode_frame_length, encode_frame
 
         payload = pack(np.zeros(1024))
         frame = encode_frame(payload)

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.mw import MWDriver
-from repro.mw.codec import MAX_FRAME_BYTES, CodecError, encode_frame
 from repro.mw.messages import (
     MSG_HEARTBEAT,
     MSG_HELLO,
@@ -30,11 +29,11 @@ from repro.mw.tcp import (
     PROTOCOL_VERSION,
     TcpMasterTransport,
     TcpWorkerEndpoint,
-    parse_tcp_url,
     recv_frame,
     run_worker,
     send_frame,
 )
+from repro.wire import MAX_FRAME_BYTES, CodecError, encode_frame
 
 
 def square(work, ctx):
@@ -75,20 +74,6 @@ def start_worker(address, executor, **kwargs):
 
 
 class TestUrlParsing:
-    def test_host_port(self):
-        assert parse_tcp_url("tcp://10.0.0.5:7777") == ("10.0.0.5", 7777)
-
-    def test_ephemeral_port_allowed(self):
-        assert parse_tcp_url("tcp://0.0.0.0:0") == ("0.0.0.0", 0)
-
-    @pytest.mark.parametrize("bad", [
-        "127.0.0.1:7777", "tcp://", "tcp://host", "tcp://host:port",
-        "tcp://host:70000", "tcp://:5555",
-    ])
-    def test_malformed_urls_rejected(self, bad):
-        with pytest.raises(ValueError):
-            parse_tcp_url(bad)
-
     def test_worker_rejects_ephemeral_master_port(self):
         with pytest.raises(ValueError, match="explicit master port"):
             TcpWorkerEndpoint("tcp://127.0.0.1:0")

@@ -10,9 +10,11 @@ backoff helper, and the two bugfixes that ride along (multi-thread
 SQLite close, the lease heartbeat's latency-aware retry loop).
 """
 
+import json
 import os
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -28,12 +30,14 @@ from repro.campaign.backends import (
     StoreServer,
     parse_store_spec,
 )
-from repro.campaign.backends.netstore import is_store_url, parse_store_url
+from repro.campaign.backends import netstore
+from repro.campaign.backends.netstore import STORE_PROTOCOL_VERSION, is_store_url
 from repro.campaign.backends.sqlite import SQLiteStoreBackend
 from repro.campaign.runner import _LeaseHeartbeat
 from repro.campaign.store import ResultStore
-from repro.mw.tcp import dial_with_backoff
 from repro.telemetry import Telemetry
+from repro import wire
+from repro.wire import MAX_FRAME_BYTES, dial_with_backoff, encode_frame, read_frame
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -67,14 +71,6 @@ def free_port() -> int:
 
 
 class TestUrlGrammar:
-    def test_parse_store_url(self):
-        assert parse_store_url("store://db.host:9090") == ("db.host", 9090)
-        assert parse_store_url("store://127.0.0.1:0") == ("127.0.0.1", 0)
-        for bad in ("sqlite", "store://", "store://host", "store://:80",
-                    "store://h:x", "store://h:70000"):
-            with pytest.raises(ValueError):
-                parse_store_url(bad)
-
     def test_is_store_url(self):
         assert is_store_url("store://h:1")
         assert not is_store_url("jsonl")
@@ -174,6 +170,138 @@ class TestWireParity:
         for jid in ("b", "c"):  # renewed in the same frame as the append
             assert after[jid].deadline > before[jid]
         assert "a" not in client._held  # fulfilled, no longer renewed
+
+
+def send_request(sock, request):
+    sock.sendall(encode_frame(json.dumps(request).encode()))
+
+
+def read_reply(sock):
+    return json.loads(read_frame(sock))
+
+
+def raw_client(server, rcvbuf=None):
+    """A bare socket that has completed the hello handshake."""
+    sock = socket.socket()
+    if rcvbuf is not None:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+    sock.settimeout(10)
+    sock.connect((server.host, server.port))
+    send_request(sock, {"op": "hello", "version": STORE_PROTOCOL_VERSION})
+    assert read_reply(sock)["ok"]
+    return sock
+
+
+def wait_closed(sock, timeout=10.0):
+    """Read (and discard) until the server ends the connection.
+
+    A server still answering makes this raise ``socket.timeout``.
+    """
+    sock.settimeout(timeout)
+    try:
+        while sock.recv(1 << 20):
+            pass
+    except ConnectionResetError:
+        pass
+
+
+def claim_and_record(client, job_id):
+    """One claim -> record_many round trip on a healthy connection."""
+    assert client.claim([job_id], "good-runner", ttl=60) == [job_id]
+    client.record_many([{"job_id": job_id, "status": "done"}])
+    assert job_id in client.completed_ids()
+
+
+class TestServerRobustness:
+    """One selector loop serves every client: a bad one must hurt no other."""
+
+    def test_refused_hello_ends_the_connection(self, served):
+        sock = socket.create_connection(
+            (served.server.host, served.server.port), timeout=10)
+        try:
+            send_request(sock, {"op": "hello", "version": 99})
+            reply = read_reply(sock)
+            assert reply["ok"] is False and "version" in reply["error"]
+            try:
+                send_request(sock, {"op": "claim", "job_ids": ["a"],
+                                    "runner": "intruder", "ttl": 60, "now": None})
+            except OSError:
+                pass  # the server may already have closed its end
+            wait_closed(sock, timeout=2.0)
+        finally:
+            sock.close()
+        assert served.backend.leases() == {}
+
+    def test_client_closes_its_socket_on_a_refused_hello(self, served, monkeypatch):
+        dialed = []
+
+        def dial(*args, **kwargs):
+            dialed.append(wire.dial_with_backoff(*args, **kwargs))
+            return dialed[-1]
+
+        def refuse(server, request):
+            raise ValueError("unsupported store protocol version")
+
+        monkeypatch.setattr(netstore, "dial_with_backoff", dial)
+        monkeypatch.setattr(StoreServer, "_op_hello", refuse)
+        with pytest.raises(ValueError, match="protocol version"):
+            served().counts()
+        assert [sock.fileno() for sock in dialed] == [-1]
+
+    @pytest.mark.parametrize("garbage", [
+        encode_frame(b"not json"),
+        encode_frame(b"[1, 2]"),
+        encode_frame(b"[" * 100_000 + b"]" * 100_000),
+        struct.pack(">I", MAX_FRAME_BYTES + 1),
+    ], ids=["non-json", "non-dict", "deep-nesting", "oversized"])
+    def test_bad_frame_drops_only_that_connection(self, served, garbage):
+        good = served()
+        good.counts()  # connected before the bad client shows up
+        bad = raw_client(served.server)
+        try:
+            bad.sendall(garbage)
+            wait_closed(bad)
+            claim_and_record(good, "a")
+        finally:
+            bad.close()
+
+    def test_half_sent_frame_stalls_nobody(self, served):
+        good = served()
+        bad = raw_client(served.server)
+        try:
+            frame = encode_frame(json.dumps({"op": "len"}).encode())
+            bad.sendall(frame[:6])  # header plus two bytes, then silence
+            claim_and_record(good, "a")
+            bad.sendall(frame[6:])  # the rest arrives: answered as usual
+            assert read_reply(bad) == {"ok": True, "n": 1}
+        finally:
+            bad.close()
+
+    def test_client_that_never_reads_is_dropped(self, served, monkeypatch):
+        monkeypatch.setattr(netstore, "SEND_TIMEOUT_S", 0.5)
+        good = served()
+        good.record_many([{"job_id": f"pad-{i}", "status": "done",
+                           "result": {"blob": "x" * 2000}} for i in range(50)])
+        # a small receive window keeps the kernel from buffering it all
+        bad = raw_client(served.server, rcvbuf=4096)
+        try:
+            records = encode_frame(json.dumps({"op": "records", "since": 0}).encode())
+            bad.sendall(records * 200)  # ~20 MB of replies, never read
+            start = time.monotonic()
+            claim_and_record(good, "a")
+            assert time.monotonic() - start < 5.0
+            wait_closed(bad)
+        finally:
+            bad.close()
+
+    def test_thread_count_stays_flat_with_clients(self, served):
+        clients = [served()]
+        clients[0].counts()
+        one = threading.active_count()
+        clients += [served() for _ in range(7)]
+        for client in clients:
+            client.counts()
+        assert threading.active_count() == one
 
 
 class TestReconnectResume:
