@@ -25,9 +25,12 @@ baseline and exits non-zero when it regressed by more than
 both ``sqlite`` and ``netstore``, ``--check`` also enforces the network
 engine's *relative* budget: one framed round trip per batch must keep
 it within ``--netstore-factor`` (default 2x) of the same-run local
-SQLite throughput — a ratio, so machine speed cancels out.  Other
-engines are reported for context but not gated — their absolute numbers
-swing more with filesystem behaviour than with code changes.
+SQLite throughput — a ratio, so machine speed cancels out.  The ratio
+is the median over ``--rounds`` interleaved sqlite/netstore pairs (the
+main measurement is the first pair), so one noisy pair cannot flip the
+verdict.  Other engines are reported for context but not gated — their
+absolute numbers swing more with filesystem behaviour than with code
+changes.
 
 ``--telemetry`` attaches an *enabled* metrics registry to every store
 (what a ``--telemetry`` campaign run does), so the loop also pays for
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import tempfile
 import time
@@ -180,27 +184,38 @@ def check_regression(results: dict, baseline_path: Path, tolerance: float) -> in
     return 0 if current >= floor else 1
 
 
-def check_netstore_factor(results: dict, factor: float) -> int:
+def check_netstore_factor(results: dict, args) -> int:
     """Gate the network engine relative to same-run local SQLite.
 
     A ratio within one run, not an absolute baseline: the two engines
     share the machine, the backing database, and the batch size, so
-    what's left is the cost of one framed round trip per batch.  0 =
-    pass (or nothing to compare), 1 = the wire costs too much.
+    what's left is the cost of one framed round trip per batch.  The
+    gated ratio is the median of ``args.rounds`` interleaved pairs — the
+    main measurement plus ``rounds - 1`` fresh ones.  0 = pass (or
+    nothing to compare), 1 = the wire costs too much.
     """
     engines = results["engines"]
     if "netstore" not in engines or GATED_ENGINE not in engines:
         return 0
-    net = engines["netstore"]["claim_append_jobs_per_s"]
-    local = engines[GATED_ENGINE]["claim_append_jobs_per_s"]
-    floor = local / factor
-    verdict = "ok" if net >= floor else "TOO SLOW"
+    pairs = [(engines[GATED_ENGINE]["claim_append_jobs_per_s"],
+              engines["netstore"]["claim_append_jobs_per_s"])]
+    for _ in range(args.rounds - 1):
+        pairs.append(tuple(
+            bench_engine(engine, args.jobs, args.batch,
+                         telemetry=args.telemetry)["claim_append_jobs_per_s"]
+            for engine in (GATED_ENGINE, "netstore")
+        ))
+    ratio = statistics.median(net / local for local, net in pairs)
+    floor = 1.0 / args.netstore_factor
+    verdict = "ok" if ratio >= floor else "TOO SLOW"
     print(
-        f"netstore-factor: {net:,.0f} jobs/s vs local {GATED_ENGINE} "
-        f"{local:,.0f} (floor {floor:,.0f} at {factor:g}x budget) "
-        f"-> {verdict}"
+        f"netstore-factor: median netstore/{GATED_ENGINE} ratio {ratio:.3f} "
+        f"over {len(pairs)} interleaved pairs (floor {floor:.3f} at "
+        f"{args.netstore_factor:g}x budget; pairs: "
+        + ", ".join(f"{net:,.0f}/{local:,.0f}" for local, net in pairs)
+        + f") -> {verdict}"
     )
-    return 0 if net >= floor else 1
+    return 0 if ratio >= floor else 1
 
 
 def main(argv=None) -> int:
@@ -233,8 +248,9 @@ def main(argv=None) -> int:
                              "gated engine; fail if enabling costs more than "
                              "FRACTION of throughput (e.g. 0.05)")
     parser.add_argument("--rounds", type=int, default=3,
-                        help="interleaved rounds for --overhead-gate "
-                             "(default 3, best-of)")
+                        help="interleaved pairs: --overhead-gate takes the "
+                             "best pair, --check's netstore factor the "
+                             "median pair (default 3)")
     args = parser.parse_args(argv)
 
     if args.overhead_gate is not None:
@@ -263,7 +279,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
         rc = check_regression(results, Path(args.check), args.tolerance)
-        return rc or check_netstore_factor(results, args.netstore_factor)
+        return rc or check_netstore_factor(results, args)
     return 0
 
 

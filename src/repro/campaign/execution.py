@@ -210,8 +210,8 @@ def proposal_work(job: Job, proposal) -> dict:
     Ships only what the worker needs to compute the *deterministic* surface
     value: the function name, dimension and the proposal's theta.  No noise
     state crosses the wire — noise is applied master-side at merge time
-    (:meth:`~repro.noise.stochastic.StochasticFunction.merge_external`), which
-    is what keeps the job's rng stream independent of reply order.
+    (:meth:`~repro.noise.stochastic.StochasticFunction.merge_external_batch`),
+    which is what keeps the job's rng stream independent of reply order.
     """
     return {
         "kind": "eval",
@@ -256,9 +256,7 @@ def batch_proposal_work(pairs) -> dict:
         "dim": first_job.dim,
         "job_ids": [job.job_id for job, _ in pairs],
         "proposal_ids": [proposal.id for _, proposal in pairs],
-        "thetas": np.ascontiguousarray(
-            [np.asarray(p.theta, dtype=float) for _, p in pairs], dtype=float
-        ),
+        "thetas": np.ascontiguousarray([p.theta for _, p in pairs], dtype=float),
     }
 
 

@@ -633,7 +633,7 @@ class _DispatchLoop:
                 avail.remove(min(matching, key=len))
             affinity = None
             if self.affinity:  # round-robin over ranks, in dispatch order
-                affinity = len(driver.tasks) % driver.n_workers + 1
+                affinity = driver.n_submitted % driver.n_workers + 1
             task = driver.submit(job.to_dict(), affinity=affinity, constraints=need)
             self._inflight[task.task_id] = (self.tenants[name], job, task)
 
@@ -647,6 +647,7 @@ class _DispatchLoop:
                     if task.done or task.failed]
         for tid in finished:
             tenant, job, task = self._inflight.pop(tid)
+            self.driver.release(task)
             tenant.finished.append(
                 task.result if task.done else CampaignRunner._mw_failure_record(job, task)
             )

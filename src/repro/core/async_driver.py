@@ -21,10 +21,12 @@ The loop is three beats, repeated until every source is finalized:
     handled below this layer: the mw driver requeues their tasks, so a
     dropped evaluation simply arrives late.
 ``harvest``
-    Tell every completed task's value back to its source.  Tells can arrive
-    in any order and after the source finished (counted in
-    ``repro_stale_tells_total``); a task that *failed* (exhausted mw
-    retries) fails its source — the engine is closed and the error reported.
+    Tell every completed task's value back to its source and release the
+    task from the mw driver.  Tells can arrive in any order and after the
+    source finished (counted in ``repro_stale_tells_total``); a task that
+    *failed* (exhausted mw retries) fails its source — the engine is
+    closed and the error reported.  Only the sources this beat told,
+    failed or saw finish in ``top_up`` are then checked for a result.
 
 Telemetry: the ``repro_inflight_evals`` gauge tracks scheduling depth and
 ``repro_stale_tells_total`` counts tells that arrived too late to matter.
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
@@ -70,7 +72,6 @@ class EvalSource:
     make_work: Callable[[Any], Any]
     batch_key: Optional[str] = None
     # internals, managed by the driver
-    inflight: int = field(default=0, repr=False)
     failed_error: Optional[str] = field(default=None, repr=False)
     finalized: bool = field(default=False, repr=False)
     # some sources (NoisyPSO) re-return still-pending proposals from ask();
@@ -143,16 +144,16 @@ class AsyncEvalDriver:
         self.heartbeat_interval = float(heartbeat_interval)
         self.eval_batch = int(eval_batch)
         self.make_batch_work = make_batch_work
-        # task_id -> [(source, proposal), ...] in frame order (len 1 unless batched)
-        self._task_map: Dict[int, List[tuple]] = {}
+        # task_id -> (task, [(source, proposal), ...] in frame order;
+        # len 1 unless batched)
+        self._task_map: Dict[int, Tuple[Any, List[tuple]]] = {}
+        self._inflight = 0  # evaluations aboard _task_map's frames
+        # sources told, failed or seen finished this beat (id -> source)
+        self._touched: Dict[int, EvalSource] = {}
         self.n_submitted = 0
         self.n_frames = 0
         self.n_told = 0
         self.n_stale = 0
-
-    def _inflight_evals(self) -> int:
-        """Outstanding proposal evaluations (a batch frame counts its size)."""
-        return sum(len(items) for items in self._task_map.values())
 
     # -- scheduling loop -----------------------------------------------------
 
@@ -182,12 +183,16 @@ class AsyncEvalDriver:
                 if not live and not self._task_map:
                     break
                 self._top_up(live)
-                gauge.set(self._inflight_evals())
+                gauge.set(self._inflight)
                 self.mw.pump(self.poll_timeout)
                 self._harvest(stale_counter)
-                gauge.set(self._inflight_evals())
-                for src in live:
-                    self._maybe_finalize(src, on_finished)
+                gauge.set(self._inflight)
+                if self._touched:
+                    touched, self._touched = self._touched, {}
+                    # in ``sources`` order, as the finished records land
+                    for src in live:
+                        if id(src) in touched:
+                            self._maybe_finalize(src, on_finished)
                 if self.heartbeat is not None:
                     now = time.monotonic()
                     if now - last_beat >= self.heartbeat_interval:
@@ -210,26 +215,34 @@ class AsyncEvalDriver:
         the round-robin is flushed immediately as partial frames (never
         held for a later beat — see the class docstring).
         """
-        budget = self.max_inflight - self._inflight_evals()
+        budget = self.max_inflight - self._inflight
+        eval_batch = self.eval_batch
         buckets: Dict[str, List[tuple]] = {}
         for src in live:
             if budget <= 0:
                 break
-            if src.failed_error is not None or src.opt.finished:
+            opt = src.opt
+            if src.failed_error is not None or opt.finished:
+                self._touched[id(src)] = src  # finished without a tell
                 continue
-            proposals = src.opt.ask(budget)
+            proposals = opt.ask(budget)
+            if opt.finished:  # finished at its start, also without a tell
+                self._touched[id(src)] = src
+            seen = src.submitted_ids
+            key = src.batch_key if src.batch_key is not None else src.key
             for proposal in proposals:
-                if proposal.id in src.submitted_ids:
+                if proposal.id in seen:
                     continue
-                src.submitted_ids.add(proposal.id)
+                seen.add(proposal.id)
                 budget -= 1
-                if self.eval_batch == 1:
+                if eval_batch == 1:
                     self._submit([(src, proposal)])
                     continue
-                key = src.batch_key if src.batch_key is not None else src.key
-                bucket = buckets.setdefault(key, [])
+                bucket = buckets.get(key)
+                if bucket is None:
+                    bucket = buckets[key] = []
                 bucket.append((src, proposal))
-                if len(bucket) >= self.eval_batch:
+                if len(bucket) >= eval_batch:
                     self._submit(buckets.pop(key))
         for items in buckets.values():
             self._submit(items)
@@ -244,28 +257,29 @@ class AsyncEvalDriver:
             task = self.mw.submit(
                 self.make_batch_work(items), n_evals=len(items)
             )
-        self._task_map[task.task_id] = items
-        for src, _ in items:
-            src.inflight += 1
+        self._task_map[task.task_id] = (task, items)
+        self._inflight += len(items)
         self.n_submitted += len(items)
         self.n_frames += 1
 
     def _harvest(self, stale_counter) -> None:
-        """Tell every settled frame's values back to their sources."""
+        """Tell every settled frame's values back to their sources, and
+        release its task from the mw driver."""
         settled = [
-            tid for tid, _ in self._task_map.items()
-            if self.mw.tasks[tid].done or self.mw.tasks[tid].failed
+            entry for entry in self._task_map.values()
+            if entry[0].done or entry[0].failed
         ]
-        for tid in settled:
-            items = self._task_map.pop(tid)
-            for src, _ in items:
-                src.inflight -= 1
-            task = self.mw.tasks[tid]
+        touched = self._touched
+        for task, items in settled:
+            del self._task_map[task.task_id]
+            self.mw.release(task)
+            self._inflight -= len(items)
             if task.failed:
                 # The mw layer already retried (dead workers, transient
                 # errors); a frame that still failed poisons every source
                 # with a proposal aboard — and only those.
                 for src, proposal in items:
+                    touched[id(src)] = src
                     if src.failed_error is None:
                         src.failed_error = (
                             f"evaluation {proposal.id} failed: {task.error}"
@@ -280,8 +294,8 @@ class AsyncEvalDriver:
                 values = task.result["values"]
                 if len(values) != len(items):
                     raise RuntimeError(
-                        f"batch task {tid} returned {len(values)} values "
-                        f"for {len(items)} proposals"
+                        f"batch task {task.task_id} returned {len(values)} "
+                        f"values for {len(items)} proposals"
                     )
             # Group the frame's results by source so each optimizer takes
             # one batched tell (at most one step resumption) instead of
@@ -293,7 +307,8 @@ class AsyncEvalDriver:
                 if entry is None:
                     entry = grouped[id(src)] = (src, [])
                 entry[1].append((proposal.id, value))
-            for src, pairs in grouped.values():
+            for key, (src, pairs) in grouped.items():
+                touched[key] = src
                 tell_many = getattr(src.opt, "tell_many", None)
                 if tell_many is not None:
                     statuses = tell_many(pairs)
@@ -304,11 +319,11 @@ class AsyncEvalDriver:
                             statuses.append(src.opt.tell(proposal_id, value))
                         except KeyError:
                             statuses.append("stale")
-                for status in statuses:
-                    self.n_told += 1
-                    if status in ("stale", "duplicate"):
-                        self.n_stale += 1
-                        stale_counter.inc()
+                self.n_told += len(statuses)
+                n_stale = statuses.count("stale") + statuses.count("duplicate")
+                if n_stale:
+                    self.n_stale += n_stale
+                    stale_counter.inc(n_stale)
 
     def _maybe_finalize(
         self,

@@ -38,8 +38,8 @@ MW worker pool with no per-iteration barrier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from itertools import groupby
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set
 
 import numpy as np
 
@@ -67,18 +67,20 @@ TELL_STALE = "stale"          # the proposal's vertex (or the whole run) is gone
 TELL_DUPLICATE = "duplicate"  # this id was already told; value ignored
 
 
-@dataclass(frozen=True)
-class Proposal:
+class Proposal(NamedTuple):
     """One pending evaluation request from :meth:`SimplexOptimizer.ask`.
 
     The holder should compute the *deterministic* surface value ``f(theta)``
     — averaged over ``dt`` virtual seconds of simulation in a real
     deployment — and feed it back via ``tell(id, value)``.  Ids are stable
     (minted once, in deterministic order) and never reused within a run.
+    A proposal is immutable and carries no per-instance dict; ``theta`` is
+    a read-only view of the vertex's own coordinates (not a copy), so
+    writing to it raises.
     """
 
     id: str           #: stable identifier, unique within one optimizer run
-    theta: np.ndarray  #: point to evaluate (a private copy)
+    theta: np.ndarray  #: point to evaluate (read-only)
     label: str        #: vertex label ("ref", "v0", ...; "refine:<label>" for speculative work)
     dt: float         #: virtual seconds of sampling requested
 
@@ -122,6 +124,8 @@ class _AskTellEngine:
         self._round: Dict[str, _RoundSlot] = {}
         self._untold = 0
         self._extras: Dict[str, _RoundSlot] = {}
+        # vertices with an outstanding (minted, untold) refinement
+        self._refining: Set[VertexEvaluation] = set()
         self._told_extras: List[_RoundSlot] = []
         self._fresh: List[Proposal] = []
         self._resolved: set = set()
@@ -159,12 +163,7 @@ class _AskTellEngine:
             proposal_id = self._mint()
             self._round[proposal_id] = _RoundSlot(proposal_id, ev, dt)
             self._fresh.append(
-                Proposal(
-                    id=proposal_id,
-                    theta=np.array(ev.theta, copy=True),
-                    label=ev.label,
-                    dt=dt,
-                )
+                Proposal(id=proposal_id, theta=ev.theta.view(), label=ev.label, dt=dt)
             )
         self._untold = len(evs)
 
@@ -173,6 +172,7 @@ class _AskTellEngine:
         self._result = result
         self._error = error
         self._fresh = []
+        self._refining.clear()
 
     def _complete_round(self) -> None:
         """Every slot of the round is told: merge and run the next step."""
@@ -186,17 +186,27 @@ class _AskTellEngine:
 
         Applied only between steps so refinement merges never interleave
         with a step's computation; within a batch they apply in mint order
-        so a fixed set of arrivals yields one deterministic stream.
+        so a fixed set of arrivals yields one deterministic stream.  The
+        live ones merge through one batched kernel call per run of equal
+        ``dt`` (they all carry the pool's warmup), which consumes the same
+        rng stream as merging them one by one.
         """
         if not self._told_extras:
             return
         batch = sorted(self._told_extras, key=lambda s: s.id)
         self._told_extras.clear()
+        pool = self._opt.pool
+        live = []
         for slot in batch:
-            if slot.ev in self._opt.pool:
-                self._opt.func.merge_external(slot.ev, slot.dt, slot.value)
+            if slot.ev in pool:
+                live.append(slot)
             else:
                 self.n_stale_tells += 1
+        for dt, run in groupby(live, key=lambda s: s.dt):
+            run = list(run)
+            self._opt.func.merge_external_batch(
+                [slot.ev for slot in run], dt, [slot.value for slot in run]
+            )
 
     def _mint(self) -> str:
         self._counter += 1
@@ -228,20 +238,21 @@ class _AskTellEngine:
         pool = self._opt.pool
         if not getattr(pool, "concurrent", True):
             return []
-        busy = {id(slot.ev) for slot in self._extras.values()}
-        candidates = [ev for ev in pool.active if id(ev) not in busy]
+        busy = self._refining
+        candidates = [ev for ev in pool.active if ev not in busy]
         candidates.sort(key=lambda ev: -ev.sem)
+        dt = float(pool.warmup)
         out = []
         for ev in candidates[:n]:
             proposal_id = self._mint()
-            slot = _RoundSlot(proposal_id, ev, float(pool.warmup))
-            self._extras[proposal_id] = slot
+            self._extras[proposal_id] = _RoundSlot(proposal_id, ev, dt)
+            busy.add(ev)
             out.append(
                 Proposal(
                     id=proposal_id,
-                    theta=np.array(ev.theta, copy=True),
+                    theta=ev.theta.view(),
                     label=f"refine:{ev.label}",
-                    dt=slot.dt,
+                    dt=dt,
                 )
             )
         return out
@@ -296,6 +307,7 @@ class _AskTellEngine:
             self._untold -= 1
             return TELL_APPLIED
         del self._extras[proposal_id]
+        self._refining.discard(extra.ev)
         extra.value = float(value)
         self._told_extras.append(extra)
         return TELL_EXTRA

@@ -179,6 +179,7 @@ class NoisyPSO:
             + self.social * r2 * (self.gbest_pos[None, :] - self.pos)
         )
         self.pos = np.clip(self.pos + self.vel, self.low, self.high)
+        self.pos.setflags(write=False)  # proposals hold read-only row views
         self._gen_values = {}
         self._proposals: List[Proposal] = []
         for i in range(n):
@@ -188,7 +189,7 @@ class NoisyPSO:
             self._proposals.append(
                 Proposal(
                     id=pid,
-                    theta=self.pos[i].copy(),
+                    theta=self.pos[i],
                     label=f"pso:{self.n_iterations}:{i}",
                     dt=self.eval_time,
                 )

@@ -66,7 +66,19 @@ def diameter(points: Sequence[np.ndarray]) -> float:
     sq = np.einsum("ij,ij->i", pts, pts)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
     np.maximum(d2, 0.0, out=d2)
-    return float(np.sqrt(d2.max()))
+    d2max = d2.max()
+    # That form cancels away ~eps * |x|^2: for a simplex tiny next to its
+    # distance from the origin (or collapsed to one point) the rounding is
+    # most of d2, so take the differences directly there.
+    if d2max <= _GRAM_RTOL * sq.max():
+        diff = pts[:, None, :] - pts[None, :, :]
+        d2max = np.einsum("ijk,ijk->ij", diff, diff).max()
+    return float(np.sqrt(d2max))
+
+
+#: Below this ratio of D^2 to the largest |x|^2 the Gram-form diameter is
+#: recomputed from differences (its relative error there is ~eps / ratio).
+_GRAM_RTOL = 1e-8
 
 
 class Simplex:

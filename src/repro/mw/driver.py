@@ -115,6 +115,7 @@ class MWDriver:
         self.n_workers = n_workers
         self.max_retries = int(max_retries)
         self.tasks: Dict[int, MWTask] = {}
+        self.n_submitted = 0  # tasks ever submitted (released ones too)
         self._pending: deque[MWTask] = deque()
         self._running: Dict[int, MWTask] = {}
         self._shutdown = False
@@ -181,8 +182,23 @@ class MWDriver:
         task = MWTask(work, affinity=affinity, n_evals=n_evals,
                       constraints=constraints or ())
         self.tasks[task.task_id] = task
+        self.n_submitted += 1
         self._pending.append(task)
         return task
+
+    def release(self, task: MWTask) -> None:
+        """Forget a finished task once its caller has taken the result.
+
+        :attr:`tasks` otherwise holds every task's work payload and reply
+        for the driver's whole life; loops that keep their own task map
+        (the async driver, the campaign dispatch loop) release each task
+        as they harvest it, while :meth:`wait_all` callers keep today's
+        full history.  A late reply for a released task is ignored like
+        any other stale reply.
+        """
+        if not (task.done or task.failed):
+            raise ValueError(f"task {task.task_id} is not finished")
+        self.tasks.pop(task.task_id, None)
 
     # -- hooks -----------------------------------------------------------------
 
@@ -466,7 +482,10 @@ class MWDriver:
     # -- introspection ----------------------------------------------------------------
 
     def stats(self) -> Dict[str, int]:
-        """Task counts by state plus the live worker count (monitoring hook)."""
+        """Task counts by state plus the live worker count (monitoring hook).
+
+        Counts the tasks :attr:`tasks` still holds (see :meth:`release`).
+        """
         states = {s: 0 for s in TaskState}
         for task in self.tasks.values():
             states[task.state] += 1

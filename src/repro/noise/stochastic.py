@@ -170,64 +170,62 @@ class StochasticFunction:
 
     # -- batched sampling kernel ----------------------------------------------
 
-    def _noise_scales(self, evs: Sequence[VertexEvaluation], dt: float) -> np.ndarray:
-        """Per-evaluation noise standard deviations for one ``dt`` block.
-
-        ``average`` mode draws block noise at ``sigma0/sqrt(dt)``;
-        ``resample`` mode draws a fresh value at ``sigma0/sqrt(t + dt)``.
-        """
-        s0 = np.array([self.sigma0_at(ev.theta) for ev in evs], dtype=float)
-        if self.mode == "average":
-            return s0 / math.sqrt(dt)
-        t_new = np.array([ev.time for ev in evs], dtype=float) + dt
-        return s0 / np.sqrt(t_new)
-
     def merge_external_batch(
         self,
         evs: Sequence[VertexEvaluation],
         dt: float,
         fvals: Sequence[float],
     ) -> None:
-        """Merge one sampling block into *each* of ``evs`` — vectorized.
+        """Merge one sampling block into *each* of ``evs`` — batched.
 
-        Batch counterpart of :meth:`merge_external`: all per-point noise is
-        drawn in a **single** rng call over the non-zero noise scales.  The
-        generator consumes exactly the same stream as the scalar loop
-        ``for ev, v in zip(evs, fvals): merge_external(ev, dt, v)`` — numpy
-        draws a batch of normals element by element off the same bit
-        stream, and points with ``sigma0 == 0`` never touch the generator
-        on either path — so the merged evaluations are **bitwise
-        identical** (the rng-stream parity suite pins this).  This is what
-        lets every batching layer above (pool advance, ``--eval-batch``
-        frames) amortize Python/rng overhead without perturbing a single
-        trajectory.
+        Batch counterpart of :meth:`merge_external`: the noise of every
+        point whose ``sigma0`` is non-zero is drawn in a **single**
+        ``standard_normal(k)`` call and scaled per point as a Python float;
+        points with ``sigma0 == 0`` draw nothing and keep their value
+        as told (a ``-0.0`` keeps its sign).  The generator consumes
+        exactly the same stream as the scalar loop
+        ``for ev, v in zip(evs, fvals): merge_external(ev, dt, v)`` —
+        numpy draws a batch of normals one after another off the same bit
+        stream — and each point is merged in order, reading its ``time``
+        at merge time, so the merged evaluations are **bitwise identical**
+        even when ``evs`` repeats an evaluation (the rng-stream parity
+        suite pins this).  This is what lets every batching layer above
+        (pool rounds, told refinements, ``--eval-batch`` frames) amortize
+        Python/rng overhead without perturbing a single trajectory.
         """
         dt = float(dt)
         if not (dt > 0.0):
             raise ValueError(f"dt must be > 0, got {dt!r}")
-        evs = list(evs)
-        if len(evs) != len(fvals):
-            raise ValueError(
-                f"got {len(fvals)} values for {len(evs)} evaluations"
-            )
-        if not evs:
+        n = len(evs)
+        if len(fvals) != n:
+            raise ValueError(f"got {len(fvals)} values for {n} evaluations")
+        if not n:
             return
-        values = np.asarray(fvals, dtype=float)
-        scales = self._noise_scales(evs, dt)
-        noisy = values.copy()
-        drawn = scales > 0.0
-        if drawn.any():
-            # one generator call for the whole batch; zero-sigma entries
-            # are excluded exactly as the scalar path skips their draw
-            noisy[drawn] += self.rng.normal(0.0, scales[drawn])
-        self.n_underlying_calls += len(evs)
-        self.total_sampling_time += dt * len(evs)
+        if isinstance(fvals, np.ndarray):
+            fvals = fvals.tolist()
+        if callable(self._sigma0):
+            s0s = [self.sigma0_at(ev.theta) for ev in evs]
+            k = sum(1 for s0 in s0s if s0 > 0.0)
+        else:
+            s0s = [float(self._sigma0)] * n
+            k = n if s0s[0] > 0.0 else 0
+        draws = iter(self.rng.standard_normal(k).tolist() if k else ())
+        self.n_underlying_calls += n
+        self.total_sampling_time += dt * n
         if self.mode == "average":
-            for ev, sample in zip(evs, noisy):
-                ev.merge_block(dt, sample)
+            root_dt = math.sqrt(dt)
+            for ev, s0, value in zip(evs, s0s, fvals):
+                value = float(value)
+                if s0 > 0.0:
+                    value += s0 / root_dt * next(draws)
+                ev.merge_block(dt, value)
         else:  # resample
-            for ev, g in zip(evs, noisy):
-                ev.replace(ev.time + dt, g)
+            for ev, s0, value in zip(evs, s0s, fvals):
+                value = float(value)
+                t_new = ev.time + dt
+                if s0 > 0.0:
+                    value += s0 / math.sqrt(t_new) * next(draws)
+                ev.replace(t_new, value)
 
     def extend_many(self, evs: Sequence[VertexEvaluation], dt: float) -> None:
         """Sample every evaluation in ``evs`` for ``dt`` more seconds — batched.

@@ -276,6 +276,38 @@ class TestLossChaos:
             assert error is None
             assert result.n_steps > 0
 
+    def test_source_finished_without_a_tell_is_reported(self, tmp_path):
+        """A source whose run ended before the driver saw it (here: closed
+        up front) never gets a tell; it must still be finalized, once."""
+        jobs = async_spec(n_seeds=2).expand()
+        sources = [
+            EvalSource(key=job.job_id, opt=build_job_optimizer(job),
+                       make_work=(lambda j: lambda p: proposal_work(j, p))(job))
+            for job in jobs
+        ]
+        sources[0].opt.ask()
+        sources[0].opt.close(reason="closed early")
+        beats = []
+
+        def heartbeat():
+            beats.append(1)
+            if len(beats) > 10_000:
+                raise RuntimeError("the driver never finalized every source")
+
+        outcomes = {}
+        driver = MWDriver(mw_eval_executor, n_workers=2, backend="inproc")
+        try:
+            AsyncEvalDriver(driver, max_inflight=4, heartbeat=heartbeat,
+                            heartbeat_interval=0.0).run(
+                sources, lambda s, r, e: outcomes.setdefault(s.key, []).append((r, e))
+            )
+        finally:
+            driver.shutdown()
+        (closed,) = outcomes[jobs[0].job_id]
+        assert closed[1] is None and closed[0].reason == "closed early"
+        (done,) = outcomes[jobs[1].job_id]
+        assert done[1] is None and done[0].n_steps > 0
+
 
 class TestBatchedEvaluation:
     """--eval-batch q: frames of q proposals, chaos and stores preserved."""
@@ -375,3 +407,45 @@ class TestBatchedEvaluation:
             with pytest.raises(ValueError, match="batch_size"):
                 campaign.run(backend=backend, mw_transport="threaded",
                              async_mode=backend == "mw", batch_size=batch_size)
+
+
+class TestDriverReleasesTasks:
+    """The mw driver lets go of every task once its result is taken.
+
+    ``MWDriver.tasks`` used to keep each frame's work payload (its thetas
+    and id lists) and reply until the driver was dropped, and one driver
+    lives for a whole run, so a long campaign grew without bound.
+    """
+
+    @staticmethod
+    def finished_tasks_at_shutdown(monkeypatch) -> list:
+        held: list = []
+        shutdown = MWDriver.shutdown
+
+        def recording_shutdown(driver):
+            held.append([t for t in driver.tasks.values() if t.done or t.failed])
+            shutdown(driver)
+
+        monkeypatch.setattr(MWDriver, "shutdown", recording_shutdown)
+        return held
+
+    def test_async_run_releases_every_task(self, tmp_path, monkeypatch):
+        held = self.finished_tasks_at_shutdown(monkeypatch)
+        campaign = Campaign(tmp_path / "camp", spec=async_spec(n_seeds=4))
+        report = campaign.run(backend="mw", mw_transport="inproc",
+                              async_mode=True, max_workers=2, eval_batch=4)
+        assert report.n_done == 4
+        assert held and not any(held)
+
+    def test_whole_job_serve_releases_every_task(self, tmp_path, monkeypatch):
+        from repro.campaign import MultiCampaignMaster
+        from repro.telemetry import Telemetry
+
+        held = self.finished_tasks_at_shutdown(monkeypatch)
+        Campaign(tmp_path / "camp", spec=async_spec(n_seeds=4))
+        master = MultiCampaignMaster([tmp_path / "camp"], transport="inproc",
+                                     max_workers=2,
+                                     telemetry=Telemetry(enabled=False))
+        reports = master.serve(timeout=60)
+        assert reports["async-chaos"].n_done == 4
+        assert held and not any(held)

@@ -223,13 +223,20 @@ class TestConcurrentRunnerProcesses:
         directory = str(tmp_path / "camp")
         spec = small_spec(seeds=list(range(10)))  # 20 jobs
         Campaign(directory, spec=spec)
-        victim = self._cli("run", directory, "--backend", "serial", "--batch-size", "1")
-        survivor = self._cli("run", directory, "--backend", "serial", "--batch-size", "1")
+        # a short TTL: a job the victim holds when killed stays leased to
+        # it (and skipped by every runner) until the lease lapses
+        ttl = ["--lease-ttl", "2"]
+        victim = self._cli("run", directory, "--backend", "serial", "--batch-size", "1", *ttl)
+        survivor = self._cli("run", directory, "--backend", "serial", "--batch-size", "1", *ttl)
         time.sleep(0.3)
         victim.send_signal(signal.SIGKILL)
         victim.communicate()
         out, _ = survivor.communicate(timeout=300)
         assert survivor.returncode == 0, out.decode()
+        deadline = time.time() + 30
+        while Campaign(directory).store.leases():
+            assert time.time() < deadline, "the killed runner's leases never expired"
+            time.sleep(0.1)
         # mop up whatever the killed runner left behind
         mopup = self._cli("run", directory, "--backend", "mw",
                           "--mw-transport", "process", "--max-workers", "2")

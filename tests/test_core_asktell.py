@@ -173,6 +173,22 @@ class TestRunParity:
                 opt.tell(p.id, float(surface(np.asarray(p.theta))))
         assert len(seen) > 0
 
+    def test_proposals_are_immutable_read_only_views(self):
+        """A proposal cannot be rebound, and its theta — a view of the
+        vertex's own coordinates, not a copy — cannot be written through."""
+        opt = build("MN", max_steps=5)
+        for p in opt.ask() + opt.ask(4):  # a round, then refinements
+            assert not hasattr(p, "__dict__")
+            with pytest.raises(AttributeError):
+                p.id = "p999999"
+            with pytest.raises(ValueError):
+                p.theta[0] = 1.0
+            with pytest.raises(ValueError):
+                p.theta.setflags(write=True)
+        assert Proposal(id="a", theta=np.zeros(2), label="v0", dt=1.0).dt == 1.0
+        opt.close()
+
+
 
 class TestTellSemantics:
     def test_duplicate_tell_rejected_cleanly(self):

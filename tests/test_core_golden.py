@@ -197,3 +197,52 @@ def test_trajectory_matches_golden_digest(algorithm, pool_kind, dim, seed, drive
 
 def test_golden_table_covers_every_case():
     assert sorted(GOLDEN) == sorted(case_key(*c) for c in CASES)
+
+
+# -- the refinement path, through the async campaign driver -----------------
+#
+# The drives above never mint speculative refinements and use only the
+# ``average`` noise mode.  An inproc async campaign does both: its
+# ``ask(n)`` calls top frames up with refinements, whose told values merge
+# at round boundaries, and campaign jobs run in the default ``resample``
+# mode.  The inproc transport answers tasks in one deterministic order,
+# so the run is reproducible and its records are pinned here.
+
+ASYNC_GOLDEN = "b1b0efb6d3f91966b1bd"
+
+
+def async_records_digest(records):
+    """Digest of each record's job id, best_true, best_estimate and
+    n_underlying_calls, in job-id order."""
+    h = hashlib.sha256()
+    for rec in sorted(records, key=lambda r: r["job_id"]):
+        res = rec["result"]
+        h.update(json.dumps([rec["job_id"], res["best_true"], res["best_estimate"],
+                             res["n_underlying_calls"]]).encode())
+    return h.hexdigest()[:20]
+
+
+def test_async_campaign_with_refinements_matches_golden_digest(tmp_path, monkeypatch):
+    from repro.campaign import Campaign, CampaignSpec
+    from repro.core.base import _AskTellEngine
+
+    minted = []
+    mint = _AskTellEngine._mint_refinements
+
+    def counting_mint(engine, n):
+        out = mint(engine, n)
+        minted.extend(out)
+        return out
+
+    monkeypatch.setattr(_AskTellEngine, "_mint_refinements", counting_mint)
+    spec = CampaignSpec(
+        name="async-golden", algorithms=sorted(ALGORITHMS), functions=["sphere"],
+        dims=list(DIMS), sigma0s=[0.3], seeds=list(SEEDS), max_steps=6,
+    )
+    assert spec.noise_mode == "resample"
+    campaign = Campaign(tmp_path / "camp", spec=spec)
+    report = campaign.run(backend="mw", mw_transport="inproc", max_workers=2,
+                          async_mode=True, eval_batch=8, max_inflight=16)
+    assert report.n_done == len(ALGORITHMS) * len(DIMS) * len(SEEDS)
+    assert minted, "the drive must exercise speculative refinements"
+    assert async_records_digest(campaign.store.records()) == ASYNC_GOLDEN

@@ -121,6 +121,13 @@ class TestDiameter:
     def test_identical_points_zero(self):
         assert diameter([np.ones(3)] * 4) == pytest.approx(0.0)
 
+    def test_collapsed_simplex_away_from_origin(self):
+        # the Gram form alone reads ~1e-6 here: cancellation, not geometry
+        assert diameter([np.full(3, 41.18575477)] * 5) == 0.0
+        pts = np.full((3, 2), 1e3)
+        pts[1, 0] += 1e-7
+        assert diameter(pts) == pytest.approx(1e-7, rel=1e-6)
+
     @given(
         pts=hnp.arrays(
             float, (5, 3), elements=st.floats(-100, 100, allow_nan=False)

@@ -262,6 +262,43 @@ class TestBatchedSamplingParity:
                 assert eb.estimate == float(Sphere(2)(t))
         assert batched.rng.bit_generator.state == scalar.rng.bit_generator.state
 
+    @pytest.mark.parametrize("mode", ["average", "resample"])
+    def test_zero_sigma_keeps_the_sign_of_negative_zero(self, mode):
+        """A noiseless point keeps its told value bit for bit: ``-0.0``
+        must not become ``0.0`` on the way in."""
+        batched = make(sigma0=0.0, mode=mode, seed=2)
+        scalar = make(sigma0=0.0, mode=mode, seed=2)
+        ev_b = batched.start([0.0, 0.0])
+        ev_s = scalar.start([0.0, 0.0])
+        batched.merge_external_batch([ev_b], 1.0, [-0.0])
+        scalar.merge_external(ev_s, 1.0, -0.0)
+        for ev in (ev_b, ev_s):
+            assert ev.estimate == 0.0 and math.copysign(1.0, ev.estimate) == -1.0
+        assert batched.rng.bit_generator.state == scalar.rng.bit_generator.state
+
+    def test_callable_sigma_resample_matches_scalar_merges(self):
+        """Callable sigma0 in resample mode, with one evaluation merged
+        twice in the batch (told refinements can repeat a vertex): each
+        merge reads the time the previous one left, as the loop does."""
+        sigma0 = lambda th: 0.0 if th[0] < 0 else 0.5 + abs(th[1])  # noqa: E731
+        batched = make(sigma0=sigma0, mode="resample", seed=31)
+        scalar = make(sigma0=sigma0, mode="resample", seed=31)
+        thetas = np.array([[1.0, 0.5], [-1.0, 0.5], [2.0, -1.5], [0.3, 0.0]])
+        evs_b = [batched.start(t) for t in thetas]
+        evs_s = [scalar.start(t) for t in thetas]
+        batched.extend_many(evs_b, 1.0)
+        for ev in evs_s:
+            scalar.extend(ev, 1.0)
+        order = [0, 1, 2, 0, 3]
+        fvals = [float(Sphere(2)(thetas[i])) + 0.25 * k for k, i in enumerate(order)]
+        batched.merge_external_batch([evs_b[i] for i in order], 0.75, fvals)
+        for i, v in zip(order, fvals):
+            scalar.merge_external(evs_s[i], 0.75, v)
+        for eb, es in zip(evs_b, evs_s):
+            assert eb.estimate == es.estimate
+            assert eb.time == es.time
+        assert batched.rng.bit_generator.state == scalar.rng.bit_generator.state
+
     def test_batch_evaluate_matches_scalar_evaluates(self):
         batched = make(sigma0=1.0, seed=13)
         scalar = make(sigma0=1.0, seed=13)
