@@ -81,6 +81,7 @@ from repro.campaign.backends.base import (
 from repro.wire import (
     RECV_CHUNK_BYTES,
     CodecError,
+    accept_pending,
     close_quietly,
     dial_with_backoff,
     disable_nagle,
@@ -301,14 +302,8 @@ class StoreServer:
 
     def _accept(self) -> None:
         """Register every pending connection with the selector."""
-        while True:
-            try:
-                sock, _addr = self._listener.accept()
-            except OSError:  # none pending (or a transient accept error)
-                return
-            sock.settimeout(SEND_TIMEOUT_S)  # bounds reply stalls only
-            enable_keepalive(sock)
-            disable_nagle(sock)
+        # the timeout bounds reply stalls only: reads follow readiness
+        for sock in accept_pending(self._listener, SEND_TIMEOUT_S):
             self._selector.register(sock, selectors.EVENT_READ, _Client())
 
     def _read(self, sock: socket.socket, client: _Client) -> None:

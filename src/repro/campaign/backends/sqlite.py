@@ -36,8 +36,8 @@ Design points:
   polling a big store costs the delta, not the table.
 * **Thread and fork hygiene** — connections are per-thread and
   per-process (a forked worker or a heartbeat thread silently gets its
-  own), so the runner's renewal thread and a ``parallel_map`` fork can
-  never share a connection.
+  own), so the runner's renewal thread and a forked mw worker can never
+  share a connection.
 
 Record payloads are stored as canonical (sorted-key) JSON text — the
 byte-for-byte line format of the JSONL engine — which is what makes

@@ -411,41 +411,30 @@ class MWDriver:
     def wait_all(self, timeout: Optional[float] = None) -> List[MWTask]:
         """Drive scheduling until every submitted task is DONE or FAILED.
 
-        Returns all tasks in submission order.  Raises ``TimeoutError`` if a
+        A loop of :meth:`pump` beats of at most 0.1 s each.  Returns all
+        tasks in submission order.  Raises ``TimeoutError`` if a
         real-time ``timeout`` (seconds) elapses first (the synchronous inproc
         transport ignores it).  On a dynamic transport (TCP) the master keeps
         waiting for workers to join — pass a ``timeout`` to bound that.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while self._outstanding():
-            self._poll_transport()
-            self._fail_unmatchable()
-            if not self.transport.dynamic and not any(self._alive.values()):
-                for task in list(self._pending):
-                    task.mark_failed("no live workers")
-                self._pending.clear()
-                break
-            self._dispatch()
-            if self.transport.synchronous:
-                continue  # dispatch already processed replies
             wait = 0.1
-            if deadline is not None:
+            if deadline is not None and not self.transport.synchronous:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise TimeoutError(
                         f"{self._outstanding()} tasks outstanding at timeout"
                     )
                 wait = min(wait, remaining)
-            reply = self.transport.recv(timeout=wait)
-            if reply is not None:
-                self._handle_reply(reply)
+            self.pump(wait)
         return sorted(self.tasks.values(), key=lambda t: t.task_id)
 
     def pump(self, timeout: float = 0.05) -> int:
         """One scheduling beat: poll events, dispatch, drain available replies.
 
-        The non-barriered counterpart of :meth:`wait_all` for callers that
-        keep their own event loop (the async campaign driver): progress is
+        :meth:`wait_all` loops over it; callers that keep their own event
+        loop (the async campaign driver) call it directly: progress is
         made if possible, but the call returns after at most ``timeout``
         real seconds whether or not any task completed.  Returns the number
         of *evaluations* still outstanding — a batched frame counts its

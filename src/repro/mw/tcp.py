@@ -18,20 +18,24 @@ processors* — with a small framed protocol over plain sockets:
   (entropy + spawn key, so per-rank RNG streams are identical to the
   same-host transports), the executor's importable ``module:attr`` wire
   spec, and the heartbeat interval;
-* after the handshake the master runs no thread per connection: the
-  driver's own thread reads every worker through one selector inside
-  :meth:`TcpMasterTransport.recv` and :meth:`TcpMasterTransport.poll`,
-  splitting complete frames out of a per-connection buffer with
-  :func:`repro.wire.split_frames`;
+* the master runs no thread at all: the driver's own thread reads the
+  non-blocking listener and every connection through one selector inside
+  :meth:`TcpMasterTransport.recv`, :meth:`TcpMasterTransport.poll` and
+  :meth:`TcpMasterTransport.stats`, accepting joiners
+  (:func:`repro.wire.accept_pending`), splitting complete frames out of a
+  per-connection buffer (:func:`repro.wire.split_frames`), and taking a
+  connection's first frame as its hello — so a worker is welcomed at the
+  master's next read;
 * workers heartbeat between tasks; a silent or disconnected worker is
   reported dead through :meth:`TcpMasterTransport.poll`, which feeds the
   driver's existing crash-requeue path, and its rank becomes free so a
   replacement worker is "restarted on the same processors" (§3.1).
   ``poll`` reads pending frames before judging silence, so heartbeats
-  that queued while the driver was busy still count;
-* master shutdown fans a ``shutdown`` frame to every connected worker and
-  closes all sockets, so ``python -m repro mw-worker`` processes exit
-  cleanly when the campaign finishes.
+  (or a hello) that queued while the driver was busy still count, and it
+  drops a connection that sent no hello within the same window;
+* master shutdown fans a ``shutdown`` frame to every connection, greeted
+  or not, and closes all sockets, so ``python -m repro mw-worker``
+  processes exit cleanly when the campaign finishes.
 
 The standalone worker entrypoint is :func:`run_worker`, exposed on the
 CLI as ``python -m repro mw-worker tcp://host:port``.
@@ -44,7 +48,7 @@ import socket
 import threading
 import time
 from collections import deque
-from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -76,6 +80,7 @@ from repro.telemetry.metrics import NULL_COUNTER, NULL_HISTOGRAM
 from repro.wire import (
     RECV_CHUNK_BYTES,
     CodecError,
+    accept_pending,
     close_quietly,
     dial_with_backoff,
     disable_nagle,
@@ -130,6 +135,19 @@ def _seed_from_payload(payload: dict) -> np.random.SeedSequence:
     )
 
 
+class _Conn:
+    """One master-side connection: its rank (``None`` until the hello),
+    receive buffer, and when a complete frame last arrived (the accept
+    time until then)."""
+
+    __slots__ = ("rank", "buf", "last_seen")
+
+    def __init__(self, accepted_at: float) -> None:
+        self.rank: Optional[int] = None
+        self.buf = bytearray()
+        self.last_seen = accepted_at
+
+
 class TcpMasterTransport(Transport):
     """Master side of the TCP transport: listener, registry, heartbeats.
 
@@ -139,13 +157,17 @@ class TcpMasterTransport(Transport):
     stream and affinity).  Excess workers beyond ``n_workers`` are turned
     away with a ``shutdown`` frame.
 
-    Threading: a background thread accepts connections and a short-lived
-    thread runs each handshake, so a slow joiner never stalls the master.
-    Once welcomed, a connection is handed to the *driver's* thread — the
-    one calling :meth:`recv`, :meth:`poll`, :meth:`send` and
-    :meth:`close` — which reads every worker through one selector.  No
-    thread exists per connection: replies are decoded where they are
-    consumed, and the master's thread count does not grow with the fleet.
+    Threading: none.  Every method runs on the driver's thread, which
+    reads the non-blocking listener and every connection through one
+    selector: a readable listener is accepted there, and a connection's
+    first complete frame is its hello, checked and welcomed (or refused)
+    there too.  A joining worker is therefore welcomed at the master's
+    next read — every loop that owns a driver (``pump``, ``wait_all``,
+    the async driver) reads it on every beat, and the worker's own
+    handshake timeout, ``max(connect_timeout, 30 s)``, bounds the wait.
+    A slow or silent joiner never stalls anyone: its partial hello just
+    waits in its buffer until ``heartbeat_timeout`` sweeps it.  The
+    master's thread count does not grow with the fleet.
 
     Parameters
     ----------
@@ -164,7 +186,8 @@ class TcpMasterTransport(Transport):
         Seconds between worker heartbeats (sent to workers in the
         welcome).
     heartbeat_timeout:
-        Seconds of silence after which a worker is presumed dead
+        Seconds of silence after which a worker is presumed dead, and
+        after which a connection that sent no hello is dropped
         (default: ``HEARTBEAT_TIMEOUT_INTERVALS * heartbeat_interval``).
     """
 
@@ -191,22 +214,14 @@ class TcpMasterTransport(Transport):
         )
         self._seed_seqs = list(seed_seqs)
         self._executor_payload = executor_wire_spec(executor)
-        # Shared with the accept/handshake threads, under _lock.
-        self._lock = threading.Lock()
-        self._conns: Dict[int, socket.socket] = {}
+        self._conns: Dict[int, socket.socket] = {}  # welcomed, by rank
         self._caps: Dict[int, FrozenSet[str]] = {}
-        self._last_seen: Dict[int, float] = {}
         self._events: List[TransportEvent] = []
-        self._joined: List[Tuple[int, socket.socket]] = []  # awaiting the selector
-        self._threads: List[threading.Thread] = []
         self._listener: Optional[socket.socket] = None
         self._closing = False
-        # The driver thread's alone: the selector over live connections
-        # (each key's data is ``(rank, receive buffer)``; the waker's is
-        # None), the socketpair handshakes use to interrupt a blocked
-        # select, and complete replies not yet returned by recv().
+        # The listener (key data None) and every connection (a _Conn),
+        # greeted or not; and complete replies not yet returned by recv().
         self._selector: Optional[selectors.BaseSelector] = None
-        self._waker: Optional[Tuple[socket.socket, socket.socket]] = None
         self._inbox: Deque[Message] = deque()
         # Re-bound against the live telemetry context in start(); null here
         # so a transport used without a driver still counts safely.
@@ -217,7 +232,7 @@ class TcpMasterTransport(Transport):
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        """Bind the listener and start accepting workers in the background."""
+        """Bind the non-blocking listener; workers are accepted as it is read."""
         # Metric handles are bound here, after the driver has assigned its
         # telemetry context (Transport.telemetry is set post-construction).
         self._m_sent = self.telemetry.counter(
@@ -233,22 +248,13 @@ class TcpMasterTransport(Transport):
             "Silence between worker frames as read by the master at each "
             "heartbeat (RTT + scheduling delay + master busy time).",
         )
-        self._selector = selectors.DefaultSelector()
-        wake_r, wake_w = socket.socketpair()
-        wake_r.setblocking(False)
-        wake_w.setblocking(False)
-        self._waker = (wake_r, wake_w)
-        self._selector.register(wake_r, selectors.EVENT_READ, None)
         self._listener = socket.create_server(
             (self.host, self.port), backlog=self.n_workers + 2, reuse_port=False
         )
-        # closing a socket does not wake a thread blocked in accept() on
-        # Linux, so the accept loop polls with a short timeout instead
-        self._listener.settimeout(0.25)
+        self._listener.setblocking(False)
         self.port = self._listener.getsockname()[1]
-        t = threading.Thread(target=self._accept_loop, daemon=True, name="mw-tcp-accept")
-        t.start()
-        self._threads.append(t)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ, None)
 
     @property
     def address(self) -> str:
@@ -260,86 +266,72 @@ class TcpMasterTransport(Transport):
         return set()
 
     def close(self) -> None:
-        """Fan shutdown out to every worker, close all sockets; idempotent."""
-        with self._lock:
-            if self._closing:
-                return
-            self._closing = True
-            conns = list(self._conns.values())
-            self._conns.clear()
-        for sock in conns:
-            try:
-                send_frame(sock, Message(tag=MSG_SHUTDOWN, sender=0))
-            except (OSError, CodecError):
-                pass
-            close_quietly(sock)
+        """Send ``shutdown`` to every connection, close all sockets; idempotent.
+
+        Workers get a bare ``shutdown``; a connection that has not sent
+        its hello yet gets one with the reason "master is shutting down".
+        """
+        if self._closing:
+            return
+        self._closing = True
+        if self._selector is not None:
+            for key in list(self._selector.get_map().values()):
+                conn = key.data
+                if conn is None:
+                    continue  # the listener
+                payload = None if conn.rank is not None else {
+                    "reason": "master is shutting down"}
+                try:
+                    send_frame(key.fileobj,
+                               Message(tag=MSG_SHUTDOWN, sender=0, payload=payload))
+                except (OSError, CodecError):
+                    pass
+                close_quietly(key.fileobj)
+            self._selector.close()
+        self._conns.clear()
+        self._caps.clear()
         if self._listener is not None:
             close_quietly(self._listener)
-        if self._selector is not None:
-            self._selector.close()
-        for end in self._waker or ():
-            end.close()
-        for t in self._threads:
-            t.join(timeout=5.0)
 
-    # -- master-side plumbing ---------------------------------------------
+    # -- the selector: accept, hello/welcome, receive -----------------------
 
-    def _accept_loop(self) -> None:
-        """Accept connections until the listener closes; handshake each."""
-        while True:
-            try:
-                sock, _addr = self._listener.accept()
-            except socket.timeout:
-                with self._lock:
-                    if self._closing:
-                        return
-                continue
-            except OSError:
-                return  # listener closed
-            # handshake on its own thread: one silent or slow connection
-            # (port scanner, health probe) must not block other joiners
-            threading.Thread(
-                target=self._handshake_guarded, args=(sock,),
-                daemon=True, name="mw-tcp-handshake",
-            ).start()
+    def _accept(self) -> None:
+        """Register every pending connection; its first frame must be a hello."""
+        # blocking sockets: a connection is only read once the selector
+        # reports it readable, and sendall needs blocking mode
+        socks = accept_pending(self._listener, timeout=None)
+        if socks:
+            self._reap_closed()  # a new socket may reuse a stale key's fd
+        now = time.monotonic()
+        for sock in socks:
+            self._selector.register(sock, selectors.EVENT_READ, _Conn(now))
 
-    def _handshake_guarded(self, sock: socket.socket) -> None:
-        """Run one handshake, closing the socket on any failure."""
-        try:
-            self._handshake(sock)
-        except (OSError, CodecError, ValueError):
-            close_quietly(sock)
+    def _refuse(self, sock: socket.socket, reason: str) -> None:
+        """Answer a hello with ``shutdown`` and raise: the caller drops it."""
+        send_frame(sock, Message(tag=MSG_SHUTDOWN, sender=0, payload={"reason": reason}))
+        raise ValueError(f"worker refused: {reason}")
 
-    def _handshake(self, sock: socket.socket) -> None:
-        """Welcome one connecting worker onto a free rank (or turn it away)."""
-        sock.settimeout(self.heartbeat_timeout)
-        hello = recv_frame(sock)
-        if hello is None or hello.tag != MSG_HELLO:
+    def _greet(self, sock: socket.socket, conn: _Conn, hello: Message) -> None:
+        """Welcome a connection's first frame onto the lowest free rank.
+
+        Raises ``ValueError`` (the caller drops the connection) when the
+        frame is not a hello, and after answering ``shutdown`` when the
+        protocol version differs or every rank is taken.
+        """
+        if hello.tag != MSG_HELLO:
             raise ValueError("worker did not introduce itself with a hello frame")
-        version = (hello.payload or {}).get("version")
-        if version != PROTOCOL_VERSION:
-            send_frame(sock, Message(tag=MSG_SHUTDOWN, sender=0,
-                                     payload={"reason": "protocol version mismatch"}))
-            raise ValueError(f"unsupported protocol version {version!r}")
+        payload = hello.payload if isinstance(hello.payload, dict) else {}
+        if payload.get("version") != PROTOCOL_VERSION:
+            self._refuse(sock, "protocol version mismatch")
         # Capability vector: an optional, additive hello field — workers
         # predating it simply declare no capabilities.
-        caps = normalize_caps((hello.payload or {}).get("caps"))
-        with self._lock:
-            if self._closing:
-                raise ValueError("transport is closing")
-            free = [r for r in range(1, self.n_workers + 1) if r not in self._conns]
-            if not free:
-                rank = None
-            else:
-                rank = free[0]
-                self._conns[rank] = sock
-                self._caps[rank] = caps
-                self._last_seen[rank] = time.monotonic()
+        caps = payload.get("caps")
+        if caps is not None and not isinstance(caps, list):
+            raise ValueError(f"malformed caps {caps!r} in hello")
+        rank = next((r for r in range(1, self.n_workers + 1) if r not in self._conns), None)
         if rank is None:
-            send_frame(sock, Message(tag=MSG_SHUTDOWN, sender=0,
-                                     payload={"reason": "all worker ranks are taken"}))
-            raise ValueError("no free worker rank")
-        welcome = Message(
+            self._refuse(sock, "all worker ranks are taken")
+        send_frame(sock, Message(
             tag=MSG_WELCOME,
             sender=0,
             payload={
@@ -348,66 +340,26 @@ class TcpMasterTransport(Transport):
                 "executor": self._executor_payload,
                 "heartbeat_interval": self.heartbeat_interval,
             },
-        )
-        try:
-            send_frame(sock, welcome)
-        except OSError:
-            self._forget(rank, sock, report=False)
-            raise
-        # blocking from here: the driver thread only reads a connection
-        # the selector reported readable, and sendall needs blocking mode
-        sock.settimeout(None)
-        enable_keepalive(sock)
-        disable_nagle(sock)
-        with self._lock:
-            if self._conns.get(rank) is not sock:
-                # swept dead (welcome stalled past the heartbeat window) or
-                # superseded while we handshook; do not announce the join
-                raise ValueError("connection lost during handshake")
-            self._last_seen[rank] = time.monotonic()
-            # the join is queued in the same step that hands the connection
-            # to the driver thread, the only source of its DIED event — so
-            # a died-before-joined inversion is impossible
-            self._events.append((EVENT_JOINED, rank))
-            self._joined.append((rank, sock))
-        self._wake()
+        ))
+        # the rank is filled and the join queued in one step; the DIED
+        # event can only come later, from _drop
+        conn.rank = rank
+        conn.last_seen = time.monotonic()
+        self._conns[rank] = sock
+        self._caps[rank] = normalize_caps(caps)
+        self._events.append((EVENT_JOINED, rank))
 
-    def _wake(self) -> None:
-        """Interrupt the driver thread's select so it adopts new joiners."""
-        try:
-            self._waker[1].send(b"\0")
-        except OSError:
-            pass  # a full waker buffer is already a pending wake-up; closed is moot
-
-    def _forget(self, rank: int, sock: socket.socket, report: bool = True) -> None:
-        """Unregister a connection; report the death unless we are closing."""
-        with self._lock:
-            if self._conns.get(rank) is not sock:
-                return
-            del self._conns[rank]
-            self._caps.pop(rank, None)
-            self._last_seen.pop(rank, None)
-            if report and not self._closing:
-                self._events.append((EVENT_DIED, rank))
-
-    # -- driver-thread receive path ------------------------------------------
-
-    def _drop(self, rank: int, sock: socket.socket) -> None:
-        """Stop reading a connection, report it dead and close it."""
+    def _drop(self, sock: socket.socket, rank: Optional[int]) -> None:
+        """Stop reading a connection and close it; a worker is reported dead."""
         try:
             self._selector.unregister(sock)
         except (KeyError, ValueError):
-            pass  # not adopted yet, or the selector is closed
-        self._forget(rank, sock)
+            pass  # already dropped
         close_quietly(sock)
-
-    def _adopt_joined(self) -> None:
-        """Register connections welcomed since the last call with the selector."""
-        with self._lock:
-            joined, self._joined = self._joined, []
-            live = [(rank, sock) for rank, sock in joined if self._conns.get(rank) is sock]
-        for rank, sock in live:
-            self._selector.register(sock, selectors.EVENT_READ, (rank, bytearray()))
+        if rank is not None and self._conns.get(rank) is sock:
+            del self._conns[rank]
+            self._caps.pop(rank, None)
+            self._events.append((EVENT_DIED, rank))
 
     def _reap_closed(self) -> None:
         """Drop connections whose socket was closed under the selector.
@@ -417,47 +369,53 @@ class TcpMasterTransport(Transport):
         """
         for key in list(self._selector.get_map().values()):
             if key.data is not None and key.fileobj.fileno() < 0:
-                self._drop(key.data[0], key.fileobj)
+                self._drop(key.fileobj, key.data.rank)
 
     def _read_ready(self, timeout: Optional[float]) -> None:
-        """Wait up to ``timeout`` for readable connections and read each once.
+        """Wait up to ``timeout`` for readable sockets and read each once.
 
-        Complete frames are split off each connection's buffer: heartbeats
-        are consumed here, replies queue in :attr:`_inbox`.  EOF, a socket
-        error, or a malformed frame drops that connection alone.
+        A readable listener is accepted, and the selector is then asked
+        again without waiting, since a new connection's hello may already
+        be queued: a read that accepts a joiner also welcomes it.
         """
-        if self._joined:
-            self._adopt_joined()
-        for key, _events in self._selector.select(timeout):
-            if key.data is None:
-                try:
-                    while key.fileobj.recv(4096):
-                        pass
-                except BlockingIOError:
-                    pass
-                self._adopt_joined()
-                continue
-            rank, buf = key.data
-            sock = key.fileobj
-            try:
-                chunk = sock.recv(RECV_CHUNK_BYTES)
-                if chunk:
-                    buf += chunk
-                    for payload in split_frames(buf):
-                        self._receive(rank, sock, decode_message(payload))
-                    continue
-            except (OSError, CodecError):
-                pass
-            self._drop(rank, sock)  # EOF, socket error or malformed frame
+        ready = self._selector.select(timeout)
+        while ready:
+            accepted = False
+            for key, _events in ready:
+                if key.data is None:
+                    self._accept()
+                    accepted = True
+                else:
+                    self._read(key.fileobj, key.data)
+            ready = self._selector.select(0) if accepted else ()
 
-    def _receive(self, rank: int, sock: socket.socket, message: Message) -> None:
+    def _read(self, sock: socket.socket, conn: _Conn) -> None:
+        """Handle every complete frame a readable connection has sent.
+
+        The first frame is the hello; after it, heartbeats are consumed
+        here and replies queue in :attr:`_inbox`.  EOF, a socket error, a
+        malformed frame or a refused hello drops this connection alone.
+        """
+        try:
+            chunk = sock.recv(RECV_CHUNK_BYTES)
+            if chunk:
+                conn.buf += chunk
+                for payload in split_frames(conn.buf):
+                    message = decode_message(payload)
+                    if conn.rank is None:
+                        self._greet(sock, conn, message)
+                    else:
+                        self._receive(conn, message)
+                return
+        except (OSError, ValueError):  # CodecError is a ValueError
+            pass
+        self._drop(sock, conn.rank)
+
+    def _receive(self, conn: _Conn, message: Message) -> None:
         """Note the sign of life; keep a reply, consume a heartbeat."""
         now = time.monotonic()
-        with self._lock:
-            if self._conns.get(rank) is not sock:
-                return  # superseded (e.g. presumed dead, rank reused)
-            gap = now - self._last_seen.get(rank, now)
-            self._last_seen[rank] = now
+        gap = now - conn.last_seen
+        conn.last_seen = now
         self._m_received.inc()
         if message.tag == MSG_HEARTBEAT:
             # The silence a heartbeat ends approximates one worker round
@@ -467,29 +425,32 @@ class TcpMasterTransport(Transport):
             return
         self._inbox.append(message)
 
+    def _reading(self) -> bool:
+        """Whether the selector is open (started, not closed)."""
+        return self._selector is not None and not self._closing
+
     # -- Transport interface ----------------------------------------------
 
     def send(self, rank: int, message: Message) -> None:
         """Frame and send to one worker; a failed send reports it dead."""
-        with self._lock:
-            sock = self._conns.get(rank)
+        sock = self._conns.get(rank)
         if sock is None:
             return  # died between poll and send; poll() already reported it
         try:
             send_frame(sock, message)
             self._m_sent.inc()
         except (OSError, CodecError):
-            self._drop(rank, sock)
+            self._drop(sock, rank)
 
     def recv(self, timeout: Optional[float] = None) -> Optional[Message]:
         """Next worker result/error frame (``None`` on timeout).
 
-        Reads the connections on the calling thread: waits in the
-        selector until a reply is complete or ``timeout`` elapses.
+        Waits in the selector — accepting and welcoming joiners on the
+        way — until a reply is complete or ``timeout`` elapses.
         """
         if self._inbox:
             return self._inbox.popleft()
-        if self._selector is None or self._closing:
+        if not self._reading():
             return None
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
@@ -501,41 +462,43 @@ class TcpMasterTransport(Transport):
                 return None
 
     def poll(self) -> List[TransportEvent]:
-        """Drain join/death events; also sweep for heartbeat timeouts.
+        """Drain join/death events; also sweep silent connections.
 
-        Readable connections are drained first (without waiting), so a
-        worker whose heartbeats sat unread while the driver was busy is
-        credited with them before the sweep judges its silence.
+        Pending connections and frames are read first (without waiting),
+        so a hello or heartbeats that queued while the driver was busy
+        are credited before the sweep judges silence: a worker silent for
+        ``heartbeat_timeout`` is dropped and reported dead, a connection
+        that sent no hello within it is dropped.
         """
-        if self._selector is not None and not self._closing:
+        if self._reading():
             self._reap_closed()
             self._read_ready(0)
-        now = time.monotonic()
-        stale: List[Tuple[int, socket.socket]] = []
-        with self._lock:
-            for rank, sock in self._conns.items():
-                if now - self._last_seen.get(rank, now) > self.heartbeat_timeout:
-                    stale.append((rank, sock))
-        for rank, sock in stale:
-            self._drop(rank, sock)
-        with self._lock:
-            events, self._events = self._events, []
+            now = time.monotonic()
+            for key in list(self._selector.get_map().values()):
+                conn = key.data
+                if conn is not None and now - conn.last_seen > self.heartbeat_timeout:
+                    self._drop(key.fileobj, conn.rank)
+        events, self._events = self._events, []
         return events
 
     def worker_caps(self, rank: int) -> FrozenSet[str]:
         """Caps rank ``rank`` declared in its hello (empty if unknown/dead)."""
-        with self._lock:
-            return self._caps.get(rank, NO_CAPS)
+        return self._caps.get(rank, NO_CAPS)
 
     def stats(self) -> dict:
-        """Connection counts for monitoring: connected ranks, caps, slots."""
-        with self._lock:
-            return {
-                "connected": sorted(self._conns),
-                "caps": {r: sorted(c) for r, c in self._caps.items() if c},
-                "n_workers": self.n_workers,
-                "address": self.address,
-            }
+        """Connection counts for monitoring: connected ranks, caps, slots.
+
+        Reads pending connections and frames first, without waiting, as
+        :meth:`poll` does, so a caller waiting for joins sees them.
+        """
+        if self._reading():
+            self._read_ready(0)
+        return {
+            "connected": sorted(self._conns),
+            "caps": {r: sorted(c) for r, c in self._caps.items() if c},
+            "n_workers": self.n_workers,
+            "address": self.address,
+        }
 
 
 class TcpWorkerEndpoint:

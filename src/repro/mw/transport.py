@@ -369,30 +369,6 @@ class ProcessTransport(Transport):
 # the paper's workers import the simulation binary from their own disk.
 
 
-class FunctionExecutor:
-    """Adapt a plain ``fn(item)`` to the ``executor(work, context)`` signature.
-
-    Used by :func:`repro.parallel.backends.parallel_map`'s ``mw`` backend.
-    Picklable by reference as long as ``fn`` is module-level — the same
-    constraint the ``process`` backend already imposes — and wire-speccable
-    for TCP workers whenever ``fn`` itself is importable.
-    """
-
-    def __init__(self, fn) -> None:
-        self.fn = fn
-
-    def __call__(self, work, context):
-        """Execute one item, ignoring the worker context."""
-        return self.fn(work)
-
-    def mw_wire_spec(self) -> Optional[dict]:
-        """Wire spec telling remote workers to wrap ``fn`` themselves."""
-        spec = spec_of(self.fn)
-        if spec is None:
-            return None
-        return {"kind": "function", "spec": spec}
-
-
 def spec_of(obj: Any) -> Optional[str]:
     """``"module:attr"`` for an importable module-level callable, else ``None``."""
     module = getattr(obj, "__module__", None)
@@ -411,14 +387,9 @@ def spec_of(obj: Any) -> Optional[str]:
 def executor_wire_spec(executor: Executor) -> Optional[dict]:
     """Describe ``executor`` for the wire, or ``None`` if it cannot travel.
 
-    Returns ``{"kind": "executor" | "function", "spec": "module:attr"}``.
-    Objects may customize via an ``mw_wire_spec()`` method (see
-    :class:`FunctionExecutor`); plain module-level callables are described
-    generically.
+    Returns ``{"kind": "executor", "spec": "module:attr"}`` for an
+    importable module-level callable.
     """
-    custom = getattr(executor, "mw_wire_spec", None)
-    if callable(custom):
-        return custom()
     spec = spec_of(executor)
     if spec is None:
         return None
@@ -426,7 +397,7 @@ def executor_wire_spec(executor: Executor) -> Optional[dict]:
 
 
 def resolve_executor(payload: dict) -> Executor:
-    """Inverse of :func:`executor_wire_spec`: import and adapt the callable.
+    """Inverse of :func:`executor_wire_spec`: import the callable.
 
     Raises ``ValueError`` for malformed payloads and lets import errors
     propagate with their natural message (the worker operator needs it).
@@ -437,12 +408,9 @@ def resolve_executor(payload: dict) -> Executor:
     module_name, sep, attr = str(payload["spec"]).partition(":")
     if not sep or not attr:
         raise ValueError(f"executor spec must be 'module:attr', got {payload['spec']!r}")
-    obj = getattr(importlib.import_module(module_name), attr)
-    if kind == "function":
-        return FunctionExecutor(obj)
-    if kind == "executor":
-        return obj
-    raise ValueError(f"unknown executor kind {kind!r}")
+    if kind != "executor":
+        raise ValueError(f"unknown executor kind {kind!r}")
+    return getattr(importlib.import_module(module_name), attr)
 
 
 # -- factory ------------------------------------------------------------------

@@ -13,7 +13,8 @@ share lives here, once:
   (:func:`recv_exact`, :func:`read_frame`) and the buffered reader for
   selector loops (:func:`split_frames`) — truncated or oversized frames
   raise :class:`CodecError`, never hang;
-* dialing with exponential backoff (:func:`dial_with_backoff`), the
+* dialing with exponential backoff (:func:`dial_with_backoff`),
+  accepting on a selector loop's listener (:func:`accept_pending`), the
   socket options every connection gets (:func:`enable_keepalive`,
   :func:`disable_nagle`), and closing (:func:`close_quietly`);
 * the ``scheme://host:port`` URL grammar (:func:`parse_url`).
@@ -28,7 +29,7 @@ import random
 import socket
 import struct
 import time
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 
 class CodecError(ValueError):
@@ -187,6 +188,28 @@ def dial_with_backoff(
                 ) from exc
             time.sleep(min(delay, deadline - now) * random.uniform(0.5, 1.0))
             delay = min(delay * 2.0, float(max_delay))
+
+
+def accept_pending(
+    listener: socket.socket, timeout: Optional[float]
+) -> List[socket.socket]:
+    """Accept every connection pending on a non-blocking ``listener``.
+
+    The accept step of both selector loops (the mw master and the store
+    server), run when the listener reads ready.  Each new socket gets
+    ``timeout`` (``None`` blocks), keepalive and ``TCP_NODELAY``; the
+    caller registers it with its selector.
+    """
+    accepted = []
+    while True:
+        try:
+            sock, _addr = listener.accept()
+        except OSError:  # none pending (or a transient accept error)
+            return accepted
+        sock.settimeout(timeout)
+        enable_keepalive(sock)
+        disable_nagle(sock)
+        accepted.append(sock)
 
 
 def enable_keepalive(

@@ -1,7 +1,7 @@
 """Docstring coverage gate for the public API.
 
-Every exported name of the campaign subsystem, the parallel map helpers,
-the mw driver/worker/task layer and the shared socket stack
+Every exported name of the campaign subsystem, the mw
+driver/worker/task layer and the shared socket stack
 (``repro.wire``) must carry a docstring, and so must
 the public methods and properties those classes define.  This is the CI
 check behind the documentation pass: adding an undocumented public name
@@ -31,8 +31,6 @@ MODULES = [
     "repro.core.base",
     "repro.core.pso",
     "repro.core.simplex",
-    "repro.parallel",
-    "repro.parallel.backends",
     "repro.mw.codec",
     "repro.mw.driver",
     "repro.mw.messages",

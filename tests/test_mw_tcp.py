@@ -58,6 +58,33 @@ def tcp_driver(executor, n_workers=2, **kwargs):
     )
 
 
+def while_reading(transport, fn, timeout=10.0):
+    """Run ``fn`` on a helper thread while this thread reads the master.
+
+    The master welcomes joiners on the thread that reads it, so a test
+    that handshakes by hand (or runs a worker to completion) does it off
+    the test thread; returns ``fn()``'s value or re-raises its error.
+    """
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = fn()
+        except Exception as exc:  # noqa: BLE001 - re-raised below
+            outcome["error"] = exc
+
+    helper = threading.Thread(target=run, daemon=True)
+    helper.start()
+    deadline = time.monotonic() + timeout
+    while helper.is_alive() and time.monotonic() < deadline:
+        transport.stats()  # reads pending connections, as a driver beat does
+        helper.join(timeout=0.01)
+    assert not helper.is_alive(), "helper did not finish"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
 def start_worker(address, executor, **kwargs):
     """One endpoint worker on a thread; returns (thread, result-holder)."""
     holder = {}
@@ -235,11 +262,7 @@ class TestCrashRecovery:
             tasks = [driver.submit(i) for i in range(4)]
 
             # handshake, then go completely silent (no heartbeats, no reads)
-            sock = socket.create_connection(
-                (driver.transport.host, driver.transport.port), timeout=5)
-            send_frame(sock, Message(tag=MSG_HELLO, sender=0,
-                                     payload={"version": PROTOCOL_VERSION}))
-            assert recv_frame(sock).tag == MSG_WELCOME
+            sock, _rank = raw_worker(driver.transport)  # asserts the welcome
             try:
                 start_worker(addr, square)
                 driver.wait_all(timeout=30)
@@ -258,8 +281,7 @@ class TestCrashRecovery:
             assert task.result == 9
             rank1 = None
             # tear the first worker down by closing from the master side
-            with driver.transport._lock:
-                sock = driver.transport._conns[1]
+            sock = driver.transport._conns[1]
             sock.close()
             t1.join(timeout=10)
             rank1 = h1["stats"]["rank"] if "stats" in h1 else None
@@ -304,7 +326,8 @@ class TestShutdownAndRefusal:
             while not driver.transport.stats()["connected"] \
                     and time.monotonic() < deadline:
                 time.sleep(0.05)
-            stats = run_worker(addr, executor=square, connect_timeout=5)
+            stats = while_reading(driver.transport, lambda: run_worker(
+                addr, executor=square, connect_timeout=5))
             assert stats["refused"]
             assert stats["rank"] is None
 
@@ -319,7 +342,8 @@ class TestShutdownAndRefusal:
                 try:
                     send_frame(sock, Message(tag=MSG_HELLO, sender=0,
                                              payload={"version": version}))
-                    reply = recv_frame(sock)
+                    reply = while_reading(driver.transport,
+                                          lambda: recv_frame(sock))
                     assert reply.tag == MSG_SHUTDOWN
                     assert reply.payload["reason"] == "protocol version mismatch"
                 finally:
@@ -331,7 +355,8 @@ class TestShutdownAndRefusal:
 
         with tcp_driver(unshippable, n_workers=1) as driver:
             with pytest.raises(ValueError, match="--executor"):
-                run_worker(driver.transport.address, connect_timeout=5)
+                while_reading(driver.transport, lambda: run_worker(
+                    driver.transport.address, connect_timeout=5))
 
     def test_connect_timeout_raises_oserror(self):
         # nothing listens on this port (bound-then-closed)
@@ -386,14 +411,19 @@ class TestCapabilityHandshake:
         t.join(timeout=10)
 
 
+def bare_master(n_workers=4, heartbeat_timeout=0.25):
+    """An unstarted master transport on an ephemeral port (no driver)."""
+    return TcpMasterTransport(
+        "tcp://127.0.0.1:0", square, n_workers=n_workers,
+        seed_seqs=np.random.SeedSequence(0).spawn(n_workers),
+        heartbeat_interval=0.05, heartbeat_timeout=heartbeat_timeout,
+    )
+
+
 @pytest.fixture
 def master():
     """A started master transport on an ephemeral port (no driver)."""
-    transport = TcpMasterTransport(
-        "tcp://127.0.0.1:0", square, n_workers=4,
-        seed_seqs=np.random.SeedSequence(0).spawn(4),
-        heartbeat_interval=0.05, heartbeat_timeout=0.25,
-    )
+    transport = bare_master()
     transport.start()
     yield transport
     transport.close()
@@ -404,7 +434,7 @@ def raw_worker(transport):
     sock = socket.create_connection((transport.host, transport.port), timeout=5)
     send_frame(sock, Message(tag=MSG_HELLO, sender=0,
                              payload={"version": PROTOCOL_VERSION}))
-    welcome = recv_frame(sock)
+    welcome = while_reading(transport, lambda: recv_frame(sock))
     assert welcome.tag == MSG_WELCOME
     return sock, welcome.payload["rank"]
 
@@ -499,9 +529,7 @@ class TestSelectorReceive:
             deadline = time.monotonic() + 5
             while time.monotonic() < deadline:
                 master.poll()
-                handshaking = any(t.name == "mw-tcp-handshake"
-                                  for t in threading.enumerate())
-                if len(master.stats()["connected"]) == n_connected and not handshaking:
+                if len(master.stats()["connected"]) == n_connected:
                     return threading.active_count()
                 time.sleep(0.01)
             raise AssertionError(f"{n_connected} workers did not settle")
@@ -528,3 +556,101 @@ class TestSelectorReceive:
             sock.close()
         t.join(timeout=10)
         assert not t.is_alive()
+
+
+class TestThreadFreeMaster:
+    """Accept and hello/welcome run on the thread that reads the master."""
+
+    def test_start_and_joins_start_no_thread(self):
+        before = set(threading.enumerate())
+        transport = bare_master()
+        transport.start()
+        socks = []
+        try:
+            socks = [raw_worker(transport)[0] for _ in range(2)]
+            assert transport.stats()["connected"] == [1, 2]
+            started = set(threading.enumerate()) - before
+            assert not started, sorted(t.name for t in started)
+        finally:
+            for sock in socks:
+                sock.close()
+            transport.close()
+
+    def test_connection_without_hello_holds_no_rank(self):
+        with tcp_driver(square, n_workers=1) as driver:
+            transport = driver.transport
+            opened = time.monotonic()
+            silent = socket.create_connection((transport.host, transport.port),
+                                              timeout=5)
+            try:
+                t, holder = start_worker(transport.address, square)
+                task = driver.submit(3)
+                driver.wait_all(timeout=30)
+                assert task.result == 9
+                assert transport.stats()["connected"] == [1]
+                # the master closes the silent socket once it is swept
+                silent.setblocking(False)
+                deadline = time.monotonic() + 10
+                while time.monotonic() < deadline:
+                    driver.pump(timeout=0.02)
+                    try:
+                        assert silent.recv(1) == b""
+                        break
+                    except BlockingIOError:
+                        pass
+                else:
+                    raise AssertionError("silent connection was never closed")
+                assert time.monotonic() - opened >= transport.heartbeat_timeout
+                assert transport.stats()["connected"] == [1]
+            finally:
+                silent.close()
+        t.join(timeout=10)
+        assert holder["stats"]["executed"] == 1
+
+    def test_hello_queued_while_master_is_busy_is_welcomed(self, master):
+        sock = socket.create_connection((master.host, master.port), timeout=5)
+        try:
+            send_frame(sock, Message(tag=MSG_HELLO, sender=0,
+                                     payload={"version": PROTOCOL_VERSION}))
+            time.sleep(2 * master.heartbeat_timeout)  # driver "busy": no reads
+            assert master.poll() == [(EVENT_JOINED, 1)]
+            assert recv_frame(sock).tag == MSG_WELCOME
+            assert master.stats()["connected"] == [1]
+        finally:
+            sock.close()
+
+    @pytest.mark.parametrize("first", [
+        frame(Message(tag=MSG_HEARTBEAT, sender=0)),   # not a hello
+        frame(Message(tag=MSG_HELLO, sender=0,         # caps not a list
+                      payload={"version": PROTOCOL_VERSION, "caps": 5})),
+        struct.pack(">I", 5) + b"hello",               # undecodable payload
+    ], ids=["not-hello", "bad-caps", "garbage"])
+    def test_bad_first_frame_drops_only_that_connection(self, master, first):
+        bad = socket.create_connection((master.host, master.port), timeout=5)
+        try:
+            bad.sendall(first)
+            assert while_reading(master, lambda: bad.recv(1)) == b""
+            assert master.poll() == []
+            good, rank = raw_worker(master)
+            good.close()
+            assert rank == 1
+        finally:
+            bad.close()
+
+    def test_close_sends_shutdown_to_a_connection_without_hello(self):
+        transport = bare_master(heartbeat_timeout=30.0)
+        transport.start()
+        sock = socket.create_connection((transport.host, transport.port), timeout=5)
+        try:
+            deadline = time.monotonic() + 5
+            while len(transport._selector.get_map()) < 2:  # listener + sock
+                assert time.monotonic() < deadline, "connection never accepted"
+                transport.poll()
+                time.sleep(0.01)
+            transport.close()
+            reply = recv_frame(sock)
+            assert reply.tag == MSG_SHUTDOWN
+            assert reply.payload["reason"] == "master is shutting down"
+        finally:
+            sock.close()
+            transport.close()

@@ -14,7 +14,6 @@ from repro.mw import MWDriver
 from repro.mw.messages import MSG_RESULT, MSG_TASK, Message
 from repro.mw.transport import (
     EVENT_DIED,
-    FunctionExecutor,
     InprocTransport,
     ProcessTransport,
     ThreadedTransport,
@@ -30,10 +29,6 @@ from repro.mw.transport import (
 # module-level callables (importable by wire spec, picklable for process)
 def square(work, ctx):
     return work * work
-
-
-def plain_double(x):
-    return 2 * x
 
 
 def _seqs(n, seed=0):
@@ -148,13 +143,6 @@ class TestExecutorWireSpec:
         payload = executor_wire_spec(square)
         assert payload == {"kind": "executor", "spec": f"{__name__}:square"}
         assert resolve_executor(payload) is square
-
-    def test_function_executor_round_trips(self):
-        payload = FunctionExecutor(plain_double).mw_wire_spec()
-        assert payload == {"kind": "function", "spec": f"{__name__}:plain_double"}
-        resolved = resolve_executor(payload)
-        assert isinstance(resolved, FunctionExecutor)
-        assert resolved(4, None) == 8
 
     def test_unimportable_callables_have_no_spec(self):
         assert spec_of(lambda x: x) is None

@@ -159,40 +159,3 @@ class TestPhaseRunner:
         optroot.add_system("sys", "#!/bin/sh\necho $OPTROOT\n")
         results = run_system_phases(optroot, "sys", {})
         assert results[0].stdout.strip() == str(optroot.root)
-
-
-class TestParallelBackends:
-    def test_serial_map(self):
-        from repro.parallel import parallel_map
-
-        assert parallel_map(lambda x: x * x, [1, 2, 3]) == [1, 4, 9]
-
-    def test_thread_map_preserves_order(self):
-        from repro.parallel import parallel_map
-
-        assert parallel_map(lambda x: x + 1, list(range(20)), backend="thread") == list(
-            range(1, 21)
-        )
-
-    def test_invalid_backend(self):
-        from repro.parallel import parallel_map
-
-        with pytest.raises(ValueError):
-            parallel_map(lambda x: x, [1], backend="gpu")
-
-    def test_seeded_tasks_independent(self):
-        from repro.parallel import seeded_tasks
-
-        tasks = seeded_tasks(["a", "b"], seed=0)
-        r0 = np.random.default_rng(tasks[0][1]).normal()
-        r1 = np.random.default_rng(tasks[1][1]).normal()
-        assert r0 != r1
-
-    def test_exceptions_propagate(self):
-        from repro.parallel import parallel_map
-
-        def boom(x):
-            raise RuntimeError("bad")
-
-        with pytest.raises(RuntimeError):
-            parallel_map(boom, [1, 2], backend="thread")
