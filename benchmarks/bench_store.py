@@ -3,7 +3,8 @@
 Simulates the hot path of a lease-coordinated campaign runner — claim a
 batch of job ids, then append one result record per claimed job — for
 each store engine (single-file JSONL, SQLite, and the ``store://``
-network engine over a real localhost socket) at
+network engine over a real localhost socket to a ``campaign
+store-serve`` subprocess) at
 campaign-realistic volume (10k jobs by default), and reports jobs/s.
 
 This is the number the ROADMAP's scaling work steers by: it is what
@@ -47,11 +48,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import select
+import signal
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Tuple
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 if str(REPO_ROOT / "src") not in sys.path:
@@ -62,6 +68,9 @@ from repro.telemetry import Telemetry  # noqa: E402
 
 #: The engine whose throughput the regression gate checks.
 GATED_ENGINE = "sqlite"
+
+#: Seconds the ``store-serve`` subprocess may take to listen, or to stop.
+SERVER_START_TIMEOUT_S = 30.0
 
 
 def make_store(engine: str, directory: Path):
@@ -78,15 +87,56 @@ def make_store(engine: str, directory: Path):
     if engine == "netstore":
         # A real localhost socket in front of the gated engine: what the
         # measurement prices is exactly the wire protocol's overhead.
-        from repro.campaign.backends import NetworkStoreBackend, StoreServer
+        # The server is its own process, as in production, so it does not
+        # share this interpreter with the client it answers.
+        from repro.campaign.backends import NetworkStoreBackend
 
-        backing = open_store(directory / "served", engine="sqlite")
-        server = StoreServer(backing)
-        server.start()
-        store = NetworkStoreBackend(server.address)
-        store._bench_cleanup = lambda: (server.close(), backing.close())
+        server, address = start_store_server(directory / "served")
+        store = NetworkStoreBackend(address)
+        store._bench_cleanup = lambda: stop_store_server(server)
         return store
     raise ValueError(f"unknown engine {engine!r}")
+
+
+def start_store_server(directory: Path) -> Tuple[subprocess.Popen, str]:
+    """Start ``campaign store-serve`` (sqlite) on a port-0 listen.
+
+    Returns the process and the bound ``store://`` URL, read from the
+    address line the server prints first.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "campaign", "store-serve",
+         str(directory), "--listen", "127.0.0.1:0", "--store", "sqlite"],
+        env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, text=True,
+    )
+    deadline = time.monotonic() + SERVER_START_TIMEOUT_S
+    while True:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0 or not select.select([proc.stdout], [], [], remaining)[0]:
+            stop_store_server(proc)
+            raise RuntimeError(f"store-serve printed no address within "
+                               f"{SERVER_START_TIMEOUT_S:g}s")
+        line = proc.stdout.readline()
+        if not line:
+            stop_store_server(proc)
+            raise RuntimeError("store-serve exited before listening")
+        if " at store://" in line:
+            return proc, line.rsplit(" at ", 1)[1].strip()
+
+
+def stop_store_server(proc: subprocess.Popen) -> None:
+    """Stop a store server with SIGINT (its clean stop), killing it if stuck."""
+    if proc.poll() is None:
+        proc.send_signal(signal.SIGINT)
+    try:
+        proc.wait(timeout=SERVER_START_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
+    proc.stdout.close()
 
 
 def synthetic_record(job_id: str) -> dict:
@@ -113,23 +163,26 @@ def bench_engine(engine: str, n_jobs: int, batch: int,
     job_ids = [f"job-{i:08d}" for i in range(n_jobs)]
     with tempfile.TemporaryDirectory(prefix=f"bench-store-{engine}-") as tmp:
         store = make_store(engine, Path(tmp))
-        if telemetry:
-            store.telemetry = Telemetry.create()
-        n_claimed = 0
-        t0 = time.perf_counter()
-        for start in range(0, n_jobs, batch):
-            ids = job_ids[start:start + batch]
-            granted = store.claim(ids, "bench-runner", ttl=3600.0)
-            # one record_many per batch, exactly like CampaignRunner
-            store.record_many([synthetic_record(jid) for jid in granted])
-            n_claimed += len(granted)
-        elapsed = time.perf_counter() - t0
-        assert n_claimed == n_jobs, (n_claimed, n_jobs)
-        assert len(store.completed_ids()) == n_jobs
-        cleanup = getattr(store, "_bench_cleanup", None)
-        if cleanup is not None:
-            store.close()
-            cleanup()
+        try:
+            if telemetry:
+                store.telemetry = Telemetry.create()
+            n_claimed = 0
+            t0 = time.perf_counter()
+            for start in range(0, n_jobs, batch):
+                ids = job_ids[start:start + batch]
+                granted = store.claim(ids, "bench-runner", ttl=3600.0)
+                # one record_many per batch, exactly like CampaignRunner
+                store.record_many([synthetic_record(jid) for jid in granted])
+                n_claimed += len(granted)
+            elapsed = time.perf_counter() - t0
+            assert n_claimed == n_jobs, (n_claimed, n_jobs)
+            assert len(store.completed_ids()) == n_jobs
+        finally:
+            # the netstore engine's server is a subprocess: never leave it
+            cleanup = getattr(store, "_bench_cleanup", None)
+            if cleanup is not None:
+                store.close()
+                cleanup()
     return {
         "engine": engine,
         "n_jobs": n_jobs,

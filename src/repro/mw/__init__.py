@@ -14,11 +14,14 @@ role), with four interchangeable transports:
 * ``inproc``  — deterministic, single-threaded message passing (default; the
   event-driven cluster model in :mod:`repro.cluster` builds on it),
 * ``threaded`` — real concurrency via ``queue.Queue`` and worker threads,
-* ``process`` — real parallelism via ``multiprocessing`` (workers are OS
-  processes; the executor must be picklable),
-* ``tcp://host:port`` — cross-host sockets (:mod:`repro.mw.tcp`): the master
-  listens, standalone ``python -m repro mw-worker`` processes connect from
-  anywhere, no shared filesystem required.
+* ``process`` — real parallelism: forked worker processes, each on one end
+  of a socketpair, running the same task loop as a tcp worker,
+* ``tcp://host:port`` — cross-host sockets: the master listens, standalone
+  ``python -m repro mw-worker`` processes connect from anywhere, no shared
+  filesystem required.
+
+Both multi-process transports live in :mod:`repro.mw.tcp` and share its
+master read path and worker loop.
 
 Tasks and workers never talk to each other directly — results go to the
 master, which "has the ability to direct a cessation of work at one point in
@@ -39,11 +42,11 @@ from repro.mw.task import MWTask, TaskState
 from repro.mw.worker import MWWorker, WorkerContext
 from repro.mw.transport import (
     InprocTransport,
-    ProcessTransport,
     ThreadedTransport,
     Transport,
     make_transport,
 )
+from repro.mw.tcp import ProcessTransport
 from repro.mw.driver import MWDriver
 from repro.mw.vertex_pool import MWVertexPool, VertexSampler
 from repro.mw.fileio import FileIOChannel

@@ -21,13 +21,17 @@ Transports (``backend=``):
     One Python thread per worker, ``queue.Queue`` channels.  Real overlap
     for I/O-bound executors.
 ``process``
-    One OS process per worker, ``multiprocessing`` queues carrying
-    codec-encoded frames.  Real parallelism; the executor must be picklable.
+    One forked OS process per worker, each on one end of a socketpair
+    (:mod:`repro.mw.tcp`).  Real parallelism; the executor is inherited
+    through fork.
 ``tcp://host:port``
     Cross-host sockets (:mod:`repro.mw.tcp`): the master listens, standalone
     ``python -m repro mw-worker`` processes connect — before or after the
-    master starts waiting — and dead peers (detected by heartbeat silence or
-    a dropped connection) feed the same requeue path as crashed processes.
+    master starts waiting.
+
+Both multi-process transports read every worker through one selector on
+the driver's thread, and a dead worker (a dropped connection or
+heartbeat silence) feeds the requeue path.
 
 The campaign engine builds its distributed backend on this driver: each
 :class:`~repro.campaign.spec.Job` becomes one task
@@ -65,9 +69,9 @@ class MWDriver:
     ----------
     executor:
         ``executor(work, context) -> result`` run on workers.  Must be
-        picklable for the ``process`` transport and importable by wire
-        spec (``module:attr``) for TCP workers not launched with their
-        own ``--executor``.
+        importable by wire spec (``module:attr``) for TCP workers not
+        launched with their own ``--executor``; any callable works on
+        the other transports.
     n_workers:
         Number of worker ranks (the paper uses ``d + 3`` for a d-dim
         simplex).  On TCP this is the number of slots remote workers can

@@ -1,54 +1,45 @@
-"""TCP socket transport: cross-host master-worker without a shared filesystem.
+"""Framed-socket transports: every multi-process fleet on one socket stack.
 
-Completes the paper's §4.3 picture — evaluation workers on *remote
-processors* — with a small framed protocol over plain sockets:
+The paper's master talks to every worker through one communication
+layer (MWRMComm, §3.1).  Here that is one framed byte stream per worker
+— a :mod:`repro.wire` frame (u32 length prefix) around one
+codec-encoded :class:`~repro.mw.messages.Message`; truncated or
+oversized frames raise :class:`~repro.wire.CodecError`, never hang —
+under two transports:
 
-* every frame is a :mod:`repro.wire` frame — a big-endian u32 length
-  prefix — around one codec-encoded :class:`~repro.mw.messages.Message`
-  (truncated or oversized frames raise :class:`~repro.wire.CodecError`,
-  never hang);
-* the master (:class:`TcpMasterTransport`) listens on ``tcp://host:port``
-  and accepts workers whenever they show up — *late joiners* are welcome,
-  which is how a campaign master on one host is served by workers
-  launched minutes later on others;
-* a joining worker sends ``hello`` (protocol version plus an optional
-  ``caps`` capability vector, e.g. ``["md", "fast"]``, that the driver
-  matches against task constraint vectors); the master answers
-  ``welcome`` with the worker's assigned rank, its spawned seed stream
-  (entropy + spawn key, so per-rank RNG streams are identical to the
-  same-host transports), the executor's importable ``module:attr`` wire
-  spec, and the heartbeat interval;
-* the master runs no thread at all: the driver's own thread reads the
-  non-blocking listener and every connection through one selector inside
-  :meth:`TcpMasterTransport.recv`, :meth:`TcpMasterTransport.poll` and
-  :meth:`TcpMasterTransport.stats`, accepting joiners
-  (:func:`repro.wire.accept_pending`), splitting complete frames out of a
-  per-connection buffer (:func:`repro.wire.split_frames`), and taking a
-  connection's first frame as its hello — so a worker is welcomed at the
-  master's next read;
-* workers heartbeat between tasks; a silent or disconnected worker is
-  reported dead through :meth:`TcpMasterTransport.poll`, which feeds the
-  driver's existing crash-requeue path, and its rank becomes free so a
-  replacement worker is "restarted on the same processors" (§3.1).
-  ``poll`` reads pending frames before judging silence, so heartbeats
-  (or a hello) that queued while the driver was busy still count, and it
-  drops a connection that sent no hello within the same window;
-* master shutdown fans a ``shutdown`` frame to every connection, greeted
-  or not, and closes all sockets, so ``python -m repro mw-worker``
-  processes exit cleanly when the campaign finishes.
+* :class:`ProcessTransport` (``process``) forks one local worker per
+  rank on a ``socket.socketpair()``.  Ranks are fixed at fork, so there
+  is no handshake, and the executor is inherited (any callable works).
+  Each child first closes the master ends it inherited, so a dead
+  master's EOF reaches it.
+* :class:`TcpMasterTransport` (``tcp://host:port``) listens for
+  standalone ``python -m repro mw-worker`` processes on any host (§4.3),
+  *late joiners* included.  A joiner's ``hello`` (protocol version plus
+  an optional ``caps`` vector, e.g. ``["md", "fast"]``) is answered by a
+  ``welcome`` with its rank, its spawned seed stream (so per-rank
+  streams equal the same-host transports'), the executor's importable
+  ``module:attr`` wire spec and the heartbeat interval.  A dead worker's
+  rank goes to the next joiner — "restarted on the same processors".
 
-The standalone worker entrypoint is :func:`run_worker`, exposed on the
-CLI as ``python -m repro mw-worker tcp://host:port``.
+Both share the master half, :class:`SocketMasterTransport`, which runs
+no thread: the driver's own thread reads every connection (and the tcp
+listener) through one selector in ``recv``/``poll``/``stats``, reports
+a worker dead once — on EOF, a failed send, or heartbeat silence, judged
+only after pending frames are read — and fans ``shutdown`` out on
+close.  They share the worker half too, :func:`serve_tasks`: task →
+execute → reply, heartbeating from a background thread, until
+``shutdown`` or EOF.
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import selectors
 import socket
 import threading
 import time
 from collections import deque
-from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Sequence
+from typing import Any, Deque, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -70,6 +61,7 @@ from repro.mw.transport import (
     TransportEvent,
     executor_wire_spec,
     normalize_caps,
+    normalize_caps_map,
     resolve_executor,
 )
 from repro.mw.worker import Executor, MWWorker
@@ -136,20 +128,309 @@ def _seed_from_payload(payload: dict) -> np.random.SeedSequence:
 
 
 class _Conn:
-    """One master-side connection: its rank (``None`` until the hello),
-    receive buffer, and when a complete frame last arrived (the accept
-    time until then)."""
+    """One master-side connection: its rank (``None`` until a tcp hello),
+    receive buffer, and when a complete frame last arrived (the time it
+    was registered until then)."""
 
     __slots__ = ("rank", "buf", "last_seen")
 
-    def __init__(self, accepted_at: float) -> None:
-        self.rank: Optional[int] = None
+    def __init__(self, registered_at: float, rank: Optional[int] = None) -> None:
+        self.rank = rank
         self.buf = bytearray()
-        self.last_seen = accepted_at
+        self.last_seen = registered_at
 
 
-class TcpMasterTransport(Transport):
-    """Master side of the TCP transport: listener, registry, heartbeats.
+class SocketMasterTransport(Transport):
+    """Master half of the socket transports: one selector, no thread.
+
+    Every method runs on the driver's thread.  Complete frames are split
+    out of each connection's buffer, heartbeats are consumed, and replies
+    queue for :meth:`recv`; a worker is reported dead exactly once.
+    Subclasses fill the selector: :class:`ProcessTransport` with the
+    master ends of its socketpairs, already bound to their ranks, and
+    :class:`TcpMasterTransport` with a listener (key data ``None``) whose
+    connections are bound to a rank by their hello (:meth:`_greet`).
+    """
+
+    def __init__(
+        self,
+        n_workers: int,
+        seed_seqs: Sequence[np.random.SeedSequence],
+        heartbeat_timeout: float,
+    ) -> None:
+        self.n_workers = int(n_workers)
+        self.heartbeat_timeout = float(heartbeat_timeout)
+        self._seed_seqs = list(seed_seqs)
+        self._conns: Dict[int, socket.socket] = {}  # live workers, by rank
+        self._caps: Dict[int, FrozenSet[str]] = {}
+        self._events: List[TransportEvent] = []
+        self._closing = False
+        # Every connection (a _Conn) and the tcp listener (None); and
+        # complete replies not yet returned by recv().
+        self._selector: Optional[selectors.BaseSelector] = None
+        self._inbox: Deque[Message] = deque()
+        # Re-bound against the live telemetry context in _open(); null here
+        # so a transport used without a driver still counts safely.
+        self._m_sent = NULL_COUNTER
+        self._m_received = NULL_COUNTER
+        self._m_heartbeat_gap = NULL_HISTOGRAM
+
+    def _open(self) -> None:
+        """Bind the metric handles and open the selector (from ``start``)."""
+        # Metric handles are bound here, after the driver has assigned its
+        # telemetry context (Transport.telemetry is set post-construction).
+        self._m_sent = self.telemetry.counter(
+            "repro_mw_frames_total", "Worker frames by direction.",
+            direction="sent",
+        )
+        self._m_received = self.telemetry.counter(
+            "repro_mw_frames_total", "Worker frames by direction.",
+            direction="received",
+        )
+        self._m_heartbeat_gap = self.telemetry.histogram(
+            "repro_mw_heartbeat_gap_seconds",
+            "Silence between worker frames as read by the master at each "
+            "heartbeat (RTT + scheduling delay + master busy time).",
+        )
+        self._selector = selectors.DefaultSelector()
+
+    def close(self) -> None:
+        """Send ``shutdown`` to every connection, close all sockets; idempotent.
+
+        Workers get a bare ``shutdown``; a connection that has not sent
+        its hello yet gets one with the reason "master is shutting down".
+        """
+        if self._closing:
+            return
+        self._closing = True
+        if self._selector is not None:
+            for key in list(self._selector.get_map().values()):
+                conn = key.data
+                if conn is not None:  # None: the tcp listener
+                    payload = None if conn.rank is not None else {
+                        "reason": "master is shutting down"}
+                    try:
+                        send_frame(key.fileobj, Message(
+                            tag=MSG_SHUTDOWN, sender=0, payload=payload))
+                    except (OSError, CodecError):
+                        pass
+                close_quietly(key.fileobj)
+            self._selector.close()
+        self._conns.clear()
+        self._caps.clear()
+
+    # -- the selector: receive, drop ----------------------------------------
+
+    def _accept(self) -> None:
+        """Register the listener's pending connections (tcp only)."""
+
+    def _greet(self, sock: socket.socket, conn: _Conn, hello: Message) -> None:
+        """Bind an unranked connection by its first frame (tcp only)."""
+        raise ValueError("frame on a connection without a rank")
+
+    def _drop(self, sock: socket.socket, rank: Optional[int]) -> None:
+        """Stop reading a connection and close it; a worker is reported dead."""
+        try:
+            self._selector.unregister(sock)
+        except (KeyError, ValueError):
+            pass  # already dropped
+        close_quietly(sock)
+        if rank is not None and self._conns.get(rank) is sock:
+            del self._conns[rank]
+            self._caps.pop(rank, None)
+            self._events.append((EVENT_DIED, rank))
+
+    def _reap_closed(self) -> None:
+        """Drop connections whose socket was closed under the selector.
+
+        A closed descriptor silently leaves epoll; without this its number
+        could be reused by the next joiner and collide with the stale key.
+        """
+        for key in list(self._selector.get_map().values()):
+            if key.data is not None and key.fileobj.fileno() < 0:
+                self._drop(key.fileobj, key.data.rank)
+
+    def _read_ready(self, timeout: Optional[float]) -> None:
+        """Wait up to ``timeout`` for readable sockets and read each once.
+
+        A readable listener is accepted, and the selector is then asked
+        again without waiting, since a new connection's hello may already
+        be queued: a read that accepts a joiner also welcomes it.
+        """
+        ready = self._selector.select(timeout)
+        while ready:
+            accepted = False
+            for key, _events in ready:
+                if key.data is None:
+                    self._accept()
+                    accepted = True
+                else:
+                    self._read(key.fileobj, key.data)
+            ready = self._selector.select(0) if accepted else ()
+
+    def _read(self, sock: socket.socket, conn: _Conn) -> None:
+        """Handle every complete frame a readable connection has sent.
+
+        An unranked connection's first frame goes to :meth:`_greet`; after
+        it, heartbeats are consumed here and replies queue in
+        :attr:`_inbox`.  EOF, a socket error, a malformed frame or a
+        refused hello drops this connection alone.
+        """
+        try:
+            chunk = sock.recv(RECV_CHUNK_BYTES)
+            if chunk:
+                conn.buf += chunk
+                for payload in split_frames(conn.buf):
+                    message = decode_message(payload)
+                    if conn.rank is None:
+                        self._greet(sock, conn, message)
+                    else:
+                        self._receive(conn, message)
+                return
+        except (OSError, ValueError):  # CodecError is a ValueError
+            pass
+        self._drop(sock, conn.rank)
+
+    def _receive(self, conn: _Conn, message: Message) -> None:
+        """Note the sign of life; keep a reply, consume a heartbeat."""
+        now = time.monotonic()
+        gap = now - conn.last_seen
+        conn.last_seen = now
+        self._m_received.inc()
+        if message.tag == MSG_HEARTBEAT:
+            # The silence a heartbeat ends approximates one worker round
+            # trip plus scheduling delay — the RTT series.  It is measured
+            # when the driver reads the frame, so master busy time counts.
+            self._m_heartbeat_gap.observe(gap)
+            return
+        self._inbox.append(message)
+
+    def _reading(self) -> bool:
+        """Whether the selector is open (started, not closed)."""
+        return self._selector is not None and not self._closing
+
+    # -- Transport interface ----------------------------------------------
+
+    def send(self, rank: int, message: Message) -> None:
+        """Frame and send to one worker; a failed send reports it dead."""
+        sock = self._conns.get(rank)
+        if sock is None:
+            return  # died between poll and send; poll() already reported it
+        try:
+            send_frame(sock, message)
+            self._m_sent.inc()
+        except (OSError, CodecError):
+            self._drop(sock, rank)
+
+    def recv(self, timeout: Optional[float] = None) -> Optional[Message]:
+        """Next worker result/error frame (``None`` on timeout).
+
+        Waits in the selector — accepting and welcoming tcp joiners on
+        the way — until a reply is complete or ``timeout`` elapses.
+        """
+        if self._inbox:
+            return self._inbox.popleft()
+        if not self._reading():
+            return None
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            wait = None if deadline is None else max(0.0, deadline - time.monotonic())
+            self._read_ready(wait)
+            if self._inbox:
+                return self._inbox.popleft()
+            if deadline is not None and time.monotonic() >= deadline:
+                return None
+
+    def poll(self) -> List[TransportEvent]:
+        """Drain join/death events; also sweep silent connections.
+
+        Pending connections and frames are read first (without waiting),
+        so a hello or heartbeats that queued while the driver was busy
+        are credited before the sweep judges silence: a worker silent for
+        ``heartbeat_timeout`` is dropped and reported dead, a connection
+        that sent no hello within it is dropped.
+        """
+        if self._reading():
+            self._reap_closed()
+            self._read_ready(0)
+            now = time.monotonic()
+            for key in list(self._selector.get_map().values()):
+                conn = key.data
+                if conn is not None and now - conn.last_seen > self.heartbeat_timeout:
+                    self._drop(key.fileobj, conn.rank)
+        events, self._events = self._events, []
+        return events
+
+    def worker_caps(self, rank: int) -> FrozenSet[str]:
+        """Caps live worker ``rank`` declared (empty if unknown/dead)."""
+        return self._caps.get(rank, NO_CAPS)
+
+
+class ProcessTransport(SocketMasterTransport):
+    """One forked OS process per worker rank, each on its own socketpair.
+
+    The child runs :func:`serve_tasks` with the rank's seed stream, so
+    streams equal inproc's; ``worker_caps`` stands in for the caps a tcp
+    worker declares.  A worker that dies is reported at the next
+    ``poll`` by its EOF, a hung one after ``heartbeat_timeout``; a local
+    rank is not restarted.
+    """
+
+    def __init__(
+        self,
+        executor: Executor,
+        seed_seqs: Sequence[np.random.SeedSequence],
+        worker_caps: Optional[Mapping[int, Any]] = None,
+    ) -> None:
+        super().__init__(
+            len(seed_seqs), seed_seqs,
+            HEARTBEAT_TIMEOUT_INTERVALS * DEFAULT_HEARTBEAT_INTERVAL,
+        )
+        self._executor = executor
+        self._caps = normalize_caps_map(worker_caps)
+        self.procs: Dict[int, mp.Process] = {}
+
+    def start(self) -> None:
+        """Fork one daemon process per rank on its own socketpair."""
+        self._open()
+        ctx = mp.get_context("fork")
+        for rank in range(1, self.n_workers + 1):
+            master_end, worker_end = socket.socketpair()
+            self._conns[rank] = master_end  # before the fork: the child closes it
+            proc = ctx.Process(
+                target=self._worker_main, args=(rank, worker_end),
+                daemon=True, name=f"mw-worker-{rank}",
+            )
+            proc.start()
+            worker_end.close()
+            self.procs[rank] = proc
+            self._selector.register(master_end, selectors.EVENT_READ,
+                                    _Conn(time.monotonic(), rank))
+
+    def _worker_main(self, rank: int, sock: socket.socket) -> None:
+        """The forked child: close the master ends it inherited (else a dead
+        master's EOF never reaches it), then serve tasks."""
+        for master_end in self._conns.values():
+            close_quietly(master_end)
+        worker = MWWorker(rank, self._executor, self._seed_seqs[rank - 1],
+                          caps=self.worker_caps(rank))
+        serve_tasks(sock, worker, DEFAULT_HEARTBEAT_INTERVAL)
+
+    def initially_live(self) -> set:
+        """All ranks: the processes are forked by ``start``."""
+        return set(range(1, self.n_workers + 1))
+
+    def close(self) -> None:
+        """Fan out ``shutdown``, then join every worker and terminate stragglers."""
+        super().close()
+        for proc in self.procs.values():
+            proc.join(timeout=5.0)
+            if proc.is_alive():
+                proc.terminate()
+
+
+class TcpMasterTransport(SocketMasterTransport):
+    """Master side of the TCP transport: listener, hello/welcome, slots.
 
     Owns ``n_workers`` rank slots.  Workers connect at any time; each is
     welcomed onto the lowest free rank (a rank freed by a dead worker is
@@ -157,17 +438,13 @@ class TcpMasterTransport(Transport):
     stream and affinity).  Excess workers beyond ``n_workers`` are turned
     away with a ``shutdown`` frame.
 
-    Threading: none.  Every method runs on the driver's thread, which
-    reads the non-blocking listener and every connection through one
-    selector: a readable listener is accepted there, and a connection's
-    first complete frame is its hello, checked and welcomed (or refused)
-    there too.  A joining worker is therefore welcomed at the master's
-    next read — every loop that owns a driver (``pump``, ``wait_all``,
-    the async driver) reads it on every beat, and the worker's own
-    handshake timeout, ``max(connect_timeout, 30 s)``, bounds the wait.
-    A slow or silent joiner never stalls anyone: its partial hello just
-    waits in its buffer until ``heartbeat_timeout`` sweeps it.  The
-    master's thread count does not grow with the fleet.
+    The non-blocking listener sits in the one selector: a readable
+    listener is accepted there, and a connection's first complete frame
+    is its hello, checked and welcomed (or refused) there too.  A joiner
+    is therefore welcomed at the master's next read — every loop that
+    owns a driver reads it on every beat, and the worker's handshake
+    timeout, ``max(connect_timeout, 30 s)``, bounds the wait.  A silent
+    joiner stalls no one: ``heartbeat_timeout`` sweeps it.
 
     Parameters
     ----------
@@ -205,55 +482,26 @@ class TcpMasterTransport(Transport):
         self.host, self.port = parse_url(url, "tcp")
         if heartbeat_interval <= 0:
             raise ValueError(f"heartbeat_interval must be > 0, got {heartbeat_interval}")
-        self.n_workers = int(n_workers)
-        self.heartbeat_interval = float(heartbeat_interval)
-        self.heartbeat_timeout = float(
+        super().__init__(
+            n_workers, seed_seqs,
             heartbeat_timeout
             if heartbeat_timeout is not None
-            else HEARTBEAT_TIMEOUT_INTERVALS * heartbeat_interval
+            else HEARTBEAT_TIMEOUT_INTERVALS * heartbeat_interval,
         )
-        self._seed_seqs = list(seed_seqs)
+        self.heartbeat_interval = float(heartbeat_interval)
         self._executor_payload = executor_wire_spec(executor)
-        self._conns: Dict[int, socket.socket] = {}  # welcomed, by rank
-        self._caps: Dict[int, FrozenSet[str]] = {}
-        self._events: List[TransportEvent] = []
         self._listener: Optional[socket.socket] = None
-        self._closing = False
-        # The listener (key data None) and every connection (a _Conn),
-        # greeted or not; and complete replies not yet returned by recv().
-        self._selector: Optional[selectors.BaseSelector] = None
-        self._inbox: Deque[Message] = deque()
-        # Re-bound against the live telemetry context in start(); null here
-        # so a transport used without a driver still counts safely.
-        self._m_sent = NULL_COUNTER
-        self._m_received = NULL_COUNTER
-        self._m_heartbeat_gap = NULL_HISTOGRAM
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
         """Bind the non-blocking listener; workers are accepted as it is read."""
-        # Metric handles are bound here, after the driver has assigned its
-        # telemetry context (Transport.telemetry is set post-construction).
-        self._m_sent = self.telemetry.counter(
-            "repro_mw_frames_total", "TCP frames by direction.",
-            direction="sent",
-        )
-        self._m_received = self.telemetry.counter(
-            "repro_mw_frames_total", "TCP frames by direction.",
-            direction="received",
-        )
-        self._m_heartbeat_gap = self.telemetry.histogram(
-            "repro_mw_heartbeat_gap_seconds",
-            "Silence between worker frames as read by the master at each "
-            "heartbeat (RTT + scheduling delay + master busy time).",
-        )
+        self._open()
         self._listener = socket.create_server(
             (self.host, self.port), backlog=self.n_workers + 2, reuse_port=False
         )
         self._listener.setblocking(False)
         self.port = self._listener.getsockname()[1]
-        self._selector = selectors.DefaultSelector()
         self._selector.register(self._listener, selectors.EVENT_READ, None)
 
     @property
@@ -265,35 +513,7 @@ class TcpMasterTransport(Transport):
         """No ranks: TCP workers join after the master starts listening."""
         return set()
 
-    def close(self) -> None:
-        """Send ``shutdown`` to every connection, close all sockets; idempotent.
-
-        Workers get a bare ``shutdown``; a connection that has not sent
-        its hello yet gets one with the reason "master is shutting down".
-        """
-        if self._closing:
-            return
-        self._closing = True
-        if self._selector is not None:
-            for key in list(self._selector.get_map().values()):
-                conn = key.data
-                if conn is None:
-                    continue  # the listener
-                payload = None if conn.rank is not None else {
-                    "reason": "master is shutting down"}
-                try:
-                    send_frame(key.fileobj,
-                               Message(tag=MSG_SHUTDOWN, sender=0, payload=payload))
-                except (OSError, CodecError):
-                    pass
-                close_quietly(key.fileobj)
-            self._selector.close()
-        self._conns.clear()
-        self._caps.clear()
-        if self._listener is not None:
-            close_quietly(self._listener)
-
-    # -- the selector: accept, hello/welcome, receive -----------------------
+    # -- accept and hello/welcome -------------------------------------------
 
     def _accept(self) -> None:
         """Register every pending connection; its first frame must be a hello."""
@@ -349,141 +569,7 @@ class TcpMasterTransport(Transport):
         self._caps[rank] = normalize_caps(caps)
         self._events.append((EVENT_JOINED, rank))
 
-    def _drop(self, sock: socket.socket, rank: Optional[int]) -> None:
-        """Stop reading a connection and close it; a worker is reported dead."""
-        try:
-            self._selector.unregister(sock)
-        except (KeyError, ValueError):
-            pass  # already dropped
-        close_quietly(sock)
-        if rank is not None and self._conns.get(rank) is sock:
-            del self._conns[rank]
-            self._caps.pop(rank, None)
-            self._events.append((EVENT_DIED, rank))
-
-    def _reap_closed(self) -> None:
-        """Drop connections whose socket was closed under the selector.
-
-        A closed descriptor silently leaves epoll; without this its number
-        could be reused by the next joiner and collide with the stale key.
-        """
-        for key in list(self._selector.get_map().values()):
-            if key.data is not None and key.fileobj.fileno() < 0:
-                self._drop(key.fileobj, key.data.rank)
-
-    def _read_ready(self, timeout: Optional[float]) -> None:
-        """Wait up to ``timeout`` for readable sockets and read each once.
-
-        A readable listener is accepted, and the selector is then asked
-        again without waiting, since a new connection's hello may already
-        be queued: a read that accepts a joiner also welcomes it.
-        """
-        ready = self._selector.select(timeout)
-        while ready:
-            accepted = False
-            for key, _events in ready:
-                if key.data is None:
-                    self._accept()
-                    accepted = True
-                else:
-                    self._read(key.fileobj, key.data)
-            ready = self._selector.select(0) if accepted else ()
-
-    def _read(self, sock: socket.socket, conn: _Conn) -> None:
-        """Handle every complete frame a readable connection has sent.
-
-        The first frame is the hello; after it, heartbeats are consumed
-        here and replies queue in :attr:`_inbox`.  EOF, a socket error, a
-        malformed frame or a refused hello drops this connection alone.
-        """
-        try:
-            chunk = sock.recv(RECV_CHUNK_BYTES)
-            if chunk:
-                conn.buf += chunk
-                for payload in split_frames(conn.buf):
-                    message = decode_message(payload)
-                    if conn.rank is None:
-                        self._greet(sock, conn, message)
-                    else:
-                        self._receive(conn, message)
-                return
-        except (OSError, ValueError):  # CodecError is a ValueError
-            pass
-        self._drop(sock, conn.rank)
-
-    def _receive(self, conn: _Conn, message: Message) -> None:
-        """Note the sign of life; keep a reply, consume a heartbeat."""
-        now = time.monotonic()
-        gap = now - conn.last_seen
-        conn.last_seen = now
-        self._m_received.inc()
-        if message.tag == MSG_HEARTBEAT:
-            # The silence a heartbeat ends approximates one worker round
-            # trip plus scheduling delay — the RTT series.  It is measured
-            # when the driver reads the frame, so master busy time counts.
-            self._m_heartbeat_gap.observe(gap)
-            return
-        self._inbox.append(message)
-
-    def _reading(self) -> bool:
-        """Whether the selector is open (started, not closed)."""
-        return self._selector is not None and not self._closing
-
-    # -- Transport interface ----------------------------------------------
-
-    def send(self, rank: int, message: Message) -> None:
-        """Frame and send to one worker; a failed send reports it dead."""
-        sock = self._conns.get(rank)
-        if sock is None:
-            return  # died between poll and send; poll() already reported it
-        try:
-            send_frame(sock, message)
-            self._m_sent.inc()
-        except (OSError, CodecError):
-            self._drop(sock, rank)
-
-    def recv(self, timeout: Optional[float] = None) -> Optional[Message]:
-        """Next worker result/error frame (``None`` on timeout).
-
-        Waits in the selector — accepting and welcoming joiners on the
-        way — until a reply is complete or ``timeout`` elapses.
-        """
-        if self._inbox:
-            return self._inbox.popleft()
-        if not self._reading():
-            return None
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            wait = None if deadline is None else max(0.0, deadline - time.monotonic())
-            self._read_ready(wait)
-            if self._inbox:
-                return self._inbox.popleft()
-            if deadline is not None and time.monotonic() >= deadline:
-                return None
-
-    def poll(self) -> List[TransportEvent]:
-        """Drain join/death events; also sweep silent connections.
-
-        Pending connections and frames are read first (without waiting),
-        so a hello or heartbeats that queued while the driver was busy
-        are credited before the sweep judges silence: a worker silent for
-        ``heartbeat_timeout`` is dropped and reported dead, a connection
-        that sent no hello within it is dropped.
-        """
-        if self._reading():
-            self._reap_closed()
-            self._read_ready(0)
-            now = time.monotonic()
-            for key in list(self._selector.get_map().values()):
-                conn = key.data
-                if conn is not None and now - conn.last_seen > self.heartbeat_timeout:
-                    self._drop(key.fileobj, conn.rank)
-        events, self._events = self._events, []
-        return events
-
-    def worker_caps(self, rank: int) -> FrozenSet[str]:
-        """Caps rank ``rank`` declared in its hello (empty if unknown/dead)."""
-        return self._caps.get(rank, NO_CAPS)
+    # -- monitoring ----------------------------------------------------------
 
     def stats(self) -> dict:
         """Connection counts for monitoring: connected ranks, caps, slots.
@@ -501,15 +587,64 @@ class TcpMasterTransport(Transport):
         }
 
 
+# -- the worker half ----------------------------------------------------------
+
+
+def serve_tasks(sock: socket.socket, worker: MWWorker,
+                heartbeat_interval: float) -> dict:
+    """Serve task frames on ``sock`` until shutdown or EOF; returns stats.
+
+    The loop of every socket worker once it has its rank (a forked
+    worker at once, an ``mw-worker`` after the welcome), heartbeating
+    every ``heartbeat_interval`` seconds from a background thread.  A
+    ``shutdown`` frame, EOF or a broken stream ends it: the master is
+    gone or done either way.
+    """
+    send_lock = threading.Lock()  # the heartbeat thread and the loop share sock
+    stopped = threading.Event()
+
+    def send(message: Message) -> None:
+        with send_lock:
+            send_frame(sock, message)
+
+    def heartbeat() -> None:
+        while not stopped.wait(heartbeat_interval):
+            try:
+                send(Message(tag=MSG_HEARTBEAT, sender=worker.rank))
+            except (OSError, CodecError):
+                return
+
+    threading.Thread(target=heartbeat, daemon=True,
+                     name=f"mw-heartbeat-{worker.rank}").start()
+    try:
+        while True:
+            try:
+                message = recv_frame(sock)
+            except (OSError, CodecError):
+                break
+            if message is None or message.tag == MSG_SHUTDOWN:
+                break
+            if message.tag != MSG_TASK:
+                continue  # tolerate stray traffic
+            task = message.payload
+            reply = worker.execute(task["task_id"], task["work"])
+            try:
+                send(reply)
+            except (OSError, CodecError):
+                break
+    finally:
+        stopped.set()
+    return worker.stats()
+
+
 class TcpWorkerEndpoint:
     """Worker side of the TCP transport: connect, handshake, serve tasks.
 
     The endpoint retries the initial connection until ``connect_timeout``
     elapses, so workers may be launched before the master is listening.
-    After the welcome it executes ``task`` frames one at a time with an
+    After the welcome it runs :func:`serve_tasks` with an
     :class:`~repro.mw.worker.MWWorker` seeded from the master-assigned
-    stream, heartbeating from a background thread, until the master sends
-    ``shutdown`` or closes the socket.
+    stream, until the master sends ``shutdown`` or closes the socket.
 
     Parameters
     ----------
@@ -541,8 +676,6 @@ class TcpWorkerEndpoint:
         self.caps = normalize_caps(caps)
         self.connect_timeout = float(connect_timeout)
         self.rank: Optional[int] = None
-        self._send_lock = threading.Lock()
-        self._stop_heartbeat = threading.Event()
 
     def _connect(self) -> socket.socket:
         """Dial the master, backing off until ``connect_timeout`` elapses."""
@@ -551,20 +684,6 @@ class TcpWorkerEndpoint:
         # it to blocking (idle gaps between tasks can be arbitrarily long)
         sock.settimeout(max(self.connect_timeout, 30.0))
         return sock
-
-    def _send(self, sock: socket.socket, message: Message) -> None:
-        """Serialized frame write (heartbeat thread and task loop share it)."""
-        with self._send_lock:
-            send_frame(sock, message)
-
-    def _heartbeat_loop(self, sock: socket.socket, interval: float) -> None:
-        """Send a heartbeat every ``interval`` seconds until stopped."""
-        rank = self.rank or 0
-        while not self._stop_heartbeat.wait(interval):
-            try:
-                self._send(sock, Message(tag=MSG_HEARTBEAT, sender=rank))
-            except (OSError, CodecError):
-                return
 
     def run(self) -> dict:
         """Serve tasks until the master shuts down; returns worker stats.
@@ -577,15 +696,14 @@ class TcpWorkerEndpoint:
         try:
             return self._serve(sock)
         finally:
-            self._stop_heartbeat.set()
             close_quietly(sock)
 
     def _serve(self, sock: socket.socket) -> dict:
-        """The handshake + task loop on an established connection."""
+        """The handshake, then :func:`serve_tasks` on the connection."""
         hello_payload = {"version": PROTOCOL_VERSION}
         if self.caps:
             hello_payload["caps"] = sorted(self.caps)
-        self._send(sock, Message(tag=MSG_HELLO, sender=0, payload=hello_payload))
+        send_frame(sock, Message(tag=MSG_HELLO, sender=0, payload=hello_payload))
         welcome = recv_frame(sock)
         if welcome is None:
             raise CodecError("master closed the connection before welcome")
@@ -613,30 +731,7 @@ class TcpWorkerEndpoint:
         enable_keepalive(sock)
         disable_nagle(sock)
         interval = float(payload.get("heartbeat_interval", DEFAULT_HEARTBEAT_INTERVAL))
-        beat = threading.Thread(
-            target=self._heartbeat_loop, args=(sock, interval),
-            daemon=True, name=f"mw-tcp-heartbeat-{self.rank}",
-        )
-        beat.start()
-        while True:
-            # after the handshake, a broken stream means the master is gone
-            # (crash, or the shutdown/close race) — exit cleanly, do not
-            # traceback: the worker's job is over either way
-            try:
-                message = recv_frame(sock)
-            except (OSError, CodecError):
-                break
-            if message is None or message.tag == MSG_SHUTDOWN:
-                break
-            if message.tag != MSG_TASK:
-                continue  # tolerate stray traffic
-            task = message.payload
-            reply = worker.execute(task["task_id"], task["work"])
-            try:
-                self._send(sock, reply)
-            except (OSError, CodecError):
-                break
-        stats = worker.stats()
+        stats = serve_tasks(sock, worker, interval)
         stats["refused"] = None
         return stats
 

@@ -10,26 +10,24 @@ and the driver is written purely against it — scheduling, affinity,
 retries and seeding live in the driver; *where the workers are* lives
 here.
 
-Three same-host transports re-express the historical backends:
+Two in-process transports live here:
 
 * :class:`InprocTransport` — synchronous, deterministic; ``send``
   executes the task immediately and buffers the reply.
 * :class:`ThreadedTransport` — one thread per worker over
   ``queue.Queue`` channels.
-* :class:`ProcessTransport` — one OS process per worker over
-  ``multiprocessing`` queues carrying codec-encoded frames.
 
-The cross-host TCP transport lives in :mod:`repro.mw.tcp` and is selected
-with a ``tcp://host:port`` spec; :func:`make_transport` maps any spec
-string to an instance.  Workers on dynamic transports may join *after*
-the master starts (late joiners), which the driver learns about through
-:meth:`Transport.poll` events.
+Every multi-process fleet is on the one socket stack of
+:mod:`repro.mw.tcp`: the ``process`` transport forks local workers on
+socketpairs, and a ``tcp://host:port`` spec selects the cross-host
+transport, whose workers may join *after* the master starts (late
+joiners), which the driver learns about through :meth:`Transport.poll`
+events.  :func:`make_transport` maps any spec string to an instance.
 """
 
 from __future__ import annotations
 
 import importlib
-import multiprocessing as mp
 import queue
 import threading
 from collections import deque
@@ -37,13 +35,7 @@ from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set,
 
 import numpy as np
 
-from repro.mw.messages import (
-    MSG_SHUTDOWN,
-    MSG_TASK,
-    Message,
-    decode_message,
-    encode_message,
-)
+from repro.mw.messages import MSG_SHUTDOWN, MSG_TASK, Message
 from repro.mw.worker import Executor, MWWorker
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
@@ -251,116 +243,6 @@ class ThreadedTransport(Transport):
             t.join(timeout=5.0)
 
 
-def _process_worker_main(rank, executor, entropy, spawn_key, inbox, outbox,
-                         caps=()) -> None:
-    """Entry point of a process-backend worker: decode frames, run the loop."""
-    seq = np.random.SeedSequence(entropy, spawn_key=tuple(spawn_key))
-    worker = MWWorker(rank, executor, seq, caps=caps)
-    while True:
-        frame = inbox.get()
-        message = decode_message(frame)
-        if message.tag == MSG_SHUTDOWN:
-            return
-        if message.tag != MSG_TASK:
-            continue
-        payload = message.payload
-        reply = worker.execute(payload["task_id"], payload["work"])
-        outbox.put(encode_message(reply))
-
-
-class ProcessTransport(Transport):
-    """One OS process per worker rank; frames cross on ``multiprocessing`` queues.
-
-    Real parallelism; the executor must be picklable.  ``poll`` detects
-    dead processes so the driver can requeue their in-flight tasks.
-    """
-
-    def __init__(
-        self,
-        executor: Executor,
-        seed_seqs: Sequence[np.random.SeedSequence],
-        worker_caps: Optional[Mapping[int, Any]] = None,
-    ) -> None:
-        self._executor = executor
-        self._seed_seqs = list(seed_seqs)
-        self._caps = normalize_caps_map(worker_caps)
-        self._ranks = range(1, len(self._seed_seqs) + 1)
-        ctx = mp.get_context("fork")
-        self._inboxes = {r: ctx.Queue() for r in self._ranks}
-        self._outbox = ctx.Queue()
-        self._ctx = ctx
-        self.procs: Dict[int, mp.Process] = {}
-        self._reported_dead: Set[int] = set()
-
-    def start(self) -> None:
-        """Fork one daemon process per rank, handing it its seed stream."""
-        for rank in self._ranks:
-            seq = self._seed_seqs[rank - 1]
-            p = self._ctx.Process(
-                target=_process_worker_main,
-                args=(
-                    rank,
-                    self._executor,
-                    seq.entropy,
-                    tuple(seq.spawn_key),
-                    self._inboxes[rank],
-                    self._outbox,
-                    sorted(self._caps.get(rank, NO_CAPS)),
-                ),
-                daemon=True,
-                name=f"mw-worker-{rank}",
-            )
-            p.start()
-            self.procs[rank] = p
-
-    def initially_live(self) -> Set[int]:
-        """All ranks: the processes are forked by ``start``."""
-        return set(self._ranks)
-
-    def worker_caps(self, rank: int) -> FrozenSet[str]:
-        """Caps from the ``worker_caps`` config mapping (empty default)."""
-        return self._caps.get(rank, NO_CAPS)
-
-    def send(self, rank: int, message: Message) -> None:
-        """Encode the message and enqueue it on the rank's inbox."""
-        self._inboxes[rank].put(encode_message(message))
-
-    def recv(self, timeout: Optional[float] = None) -> Optional[Message]:
-        """Blocking pop + decode from the shared outbox (``None`` on timeout)."""
-        try:
-            if timeout == 0:
-                frame = self._outbox.get_nowait()
-            else:
-                frame = self._outbox.get(timeout=timeout)
-        except queue.Empty:
-            return None
-        return decode_message(frame)
-
-    def poll(self) -> List[TransportEvent]:
-        """Report each dead worker process exactly once."""
-        events: List[TransportEvent] = []
-        for rank, proc in self.procs.items():
-            if rank not in self._reported_dead and not proc.is_alive():
-                self._reported_dead.add(rank)
-                events.append((EVENT_DIED, rank))
-        return events
-
-    def close(self) -> None:
-        """Send shutdown frames, join, and terminate stragglers."""
-        for rank, proc in self.procs.items():
-            if proc.is_alive():
-                try:
-                    self._inboxes[rank].put(
-                        encode_message(Message(tag=MSG_SHUTDOWN, sender=0))
-                    )
-                except Exception:  # noqa: BLE001 - queue may be broken
-                    pass
-        for proc in self.procs.values():
-            proc.join(timeout=5.0)
-            if proc.is_alive():
-                proc.terminate()
-
-
 # -- executor wire specs ------------------------------------------------------
 #
 # Cross-host transports cannot ship code: the codec carries data only (no
@@ -449,6 +331,8 @@ def make_transport(
             return InprocTransport(executor, seed_seqs, worker_caps=worker_caps)
         if spec == "threaded":
             return ThreadedTransport(executor, seed_seqs, worker_caps=worker_caps)
+        from repro.mw.tcp import ProcessTransport
+
         return ProcessTransport(executor, seed_seqs, worker_caps=worker_caps)
     if is_tcp_spec(spec):
         from repro.mw.tcp import TcpMasterTransport

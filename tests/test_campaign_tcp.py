@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.campaign import Campaign, CampaignRunner, CampaignSpec, ResultStore
+from repro.campaign.scheduler import MultiCampaignMaster
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -67,18 +68,25 @@ def spawn(args, **kwargs):
 
 class TestTcpCampaignAcceptance:
     def test_two_cli_workers_serve_a_tcp_campaign(self, tmp_path):
+        """Both workers are welcomed before the first job can go out, so
+        neither finds the 6-job grid already drained (and the master gone)
+        when it joins; the master runs here to wait for them."""
         directory = str(tmp_path / "camp")
         spec = small_spec()
         Campaign(directory, spec=spec)
         port = free_port()
         url = f"tcp://127.0.0.1:{port}"
         workers = [spawn(["mw-worker", url]) for _ in range(2)]
-        master = spawn([
-            "campaign", "run", directory, "--backend", "mw",
-            "--transport", url, "--max-workers", "2",
-        ])
-        out, _ = master.communicate(timeout=300)
-        assert master.returncode == 0, out.decode()
+
+        def both_welcomed(driver):
+            deadline = time.monotonic() + 60
+            while len(driver.transport.stats()["connected"]) < 2:
+                assert time.monotonic() < deadline, "workers did not join"
+                time.sleep(0.05)
+
+        master = MultiCampaignMaster([directory], transport=url, max_workers=2)
+        (report,) = master.serve(timeout=300, on_start=both_welcomed).values()
+        assert (report.n_done, report.n_failed, report.n_remaining) == (6, 0, 0), report
         for proc in workers:
             wout, _ = proc.communicate(timeout=60)
             assert proc.returncode == 0, wout.decode()

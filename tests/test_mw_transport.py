@@ -12,10 +12,10 @@ import pytest
 
 from repro.mw import MWDriver
 from repro.mw.messages import MSG_RESULT, MSG_TASK, Message
+from repro.mw.tcp import ProcessTransport
 from repro.mw.transport import (
     EVENT_DIED,
     InprocTransport,
-    ProcessTransport,
     ThreadedTransport,
     Transport,
     executor_wire_spec,
