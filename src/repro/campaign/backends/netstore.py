@@ -64,9 +64,11 @@ from __future__ import annotations
 
 import copy
 import json
+import random
 import selectors
 import socket
 import threading
+import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -107,6 +109,11 @@ STORE_PROTOCOL_VERSION = 1
 #: client.  One thread answers every client, so a client that stops
 #: reading stalls the others for at most this long.
 SEND_TIMEOUT_S = 5.0
+
+#: First and largest pause (seconds, doubling, jittered) before a client
+#: redials after a reconnect's handshake failed on the transport.
+REDIAL_DELAY_S = 0.05
+MAX_REDIAL_DELAY_S = 2.0
 
 
 class NetworkStoreError(OSError):
@@ -495,40 +502,62 @@ class NetworkStoreBackend(StoreBackend):
     # -- connection management ---------------------------------------------
 
     def _connect(self) -> socket.socket:
-        """Dial and handshake; on reconnect, resume held leases."""
-        timeout = (self.reconnect_timeout if self._ever_connected
-                   else self.connect_timeout)
-        sock = dial_with_backoff(self.host, self.port, timeout)
-        sock.settimeout(max(timeout, 30.0))
-        enable_keepalive(sock)
-        disable_nagle(sock)
-        try:
-            self._roundtrip(sock, {
-                "op": "hello", "version": STORE_PROTOCOL_VERSION,
-            })
-            if self._ever_connected:
-                # Resume: re-assert the leases we held when the connection
-                # died.  claim() re-grants a runner's own or expired leases
-                # and skips jobs completed meanwhile — exactly the repair a
-                # briefly-partitioned runner needs; ids a peer validly
-                # reclaimed in the gap are dropped from the held set.
-                if self._held and self._held_runner is not None:
-                    granted = self._roundtrip(sock, {
-                        "op": "claim", "job_ids": list(self._held),
-                        "runner": self._held_runner, "ttl": self._held_ttl,
-                        "now": None,
-                    })["granted"]
-                    self._held = dict.fromkeys(granted)
-                # The new server may front different (or rewound) data;
-                # drop the read cache rather than trust a foreign stamp.
-                self._by_id = {}
-                self._stamp = 0
-        except (OSError, ValueError):  # CodecError and a refused hello too
-            close_quietly(sock)
-            raise
-        self._ever_connected = True
-        self._sock = sock
-        return sock
+        """Dial and handshake; on reconnect, resume held leases.
+
+        A reconnect whose handshake hits a transport error redials, with
+        backoff, until ``reconnect_timeout``: a dial made while the old
+        server dies can land in its listen backlog and be reset at the
+        hello.  A refused hello (``ValueError``) or a request the server
+        rejects fails at once.
+        """
+        reconnect = self._ever_connected
+        timeout = self.reconnect_timeout if reconnect else self.connect_timeout
+        deadline = time.monotonic() + timeout
+        delay = REDIAL_DELAY_S
+        while True:
+            sock = dial_with_backoff(self.host, self.port,
+                                     max(0.0, deadline - time.monotonic()))
+            sock.settimeout(max(timeout, 30.0))
+            enable_keepalive(sock)
+            disable_nagle(sock)
+            try:
+                self._handshake(sock)
+            except (OSError, ValueError) as exc:  # CodecError is a ValueError
+                close_quietly(sock)
+                transport = (isinstance(exc, (OSError, CodecError))
+                             and not isinstance(exc, NetworkStoreError))
+                remaining = deadline - time.monotonic()
+                if not (reconnect and transport and remaining > 0):
+                    raise
+                time.sleep(min(delay, remaining) * random.uniform(0.5, 1.0))
+                delay = min(2.0 * delay, MAX_REDIAL_DELAY_S)
+                continue
+            self._ever_connected = True
+            self._sock = sock
+            return sock
+
+    def _handshake(self, sock: socket.socket) -> None:
+        """The hello, then (on a reconnect) the lease resume."""
+        self._roundtrip(sock, {
+            "op": "hello", "version": STORE_PROTOCOL_VERSION,
+        })
+        if self._ever_connected:
+            # Resume: re-assert the leases we held when the connection
+            # died.  claim() re-grants a runner's own or expired leases
+            # and skips jobs completed meanwhile — exactly the repair a
+            # briefly-partitioned runner needs; ids a peer validly
+            # reclaimed in the gap are dropped from the held set.
+            if self._held and self._held_runner is not None:
+                granted = self._roundtrip(sock, {
+                    "op": "claim", "job_ids": list(self._held),
+                    "runner": self._held_runner, "ttl": self._held_ttl,
+                    "now": None,
+                })["granted"]
+                self._held = dict.fromkeys(granted)
+            # The new server may front different (or rewound) data;
+            # drop the read cache rather than trust a foreign stamp.
+            self._by_id = {}
+            self._stamp = 0
 
     def _roundtrip(self, sock: socket.socket, request: dict) -> dict:
         """One raw request/response exchange; raises on any failure."""

@@ -98,7 +98,9 @@ class WorkerUtilization:
 
     rank: int
     tasks: int            # replies received from this rank (frames)
-    busy_s: float         # accumulated dispatch-to-reply seconds
+    busy_s: float         # seconds holding work: dispatch (or, for a
+                          # task queued behind another, the previous
+                          # reply) to reply, so queued tasks count once
     elapsed_s: float      # observation window (driver lifetime)
     utilization: float    # busy_s / elapsed_s
     alive: bool

@@ -603,15 +603,13 @@ class _DispatchLoop:
                 tenant.finished.append(record)
             return
         driver = self.driver
-        avail = [driver.worker_caps(rank) for rank in driver._idle
-                 if driver._alive.get(rank, False)]
-        # On a static fleet a job no *live* worker can ever satisfy must
-        # not queue forever: pass it through to the driver, whose
-        # unmatchable-constraint check fails it with a clear error.  On a
-        # dynamic (tcp) fleet it waits — a capable worker may yet join.
+        # One scheduler slot per free worker slot.  On a static fleet a
+        # job no *live* worker can ever satisfy must not queue forever:
+        # pass it through to the driver, whose unmatchable-constraint
+        # check fails it with a clear error.  On a dynamic (tcp) fleet it
+        # waits — a capable worker may yet join.
+        avail, live_caps = driver.capacity()
         static = not driver.transport.dynamic
-        live_caps = [driver.worker_caps(rank)
-                     for rank, alive in driver._alive.items() if alive] if static else []
 
         def can_place(job: Job) -> bool:
             need = self._needs(job)
@@ -624,13 +622,13 @@ class _DispatchLoop:
             if selected is None:
                 break
             name, job = selected
-            # Mirror the driver's choice (fewest-caps eligible worker) so
-            # the local availability bookkeeping tracks what dispatch will
-            # actually consume.
+            # Mirror the driver's choice (``capacity`` lists free slots in
+            # the order dispatch fills them) so the local bookkeeping
+            # tracks what dispatch will actually consume.
             need = self._needs(job)
-            matching = [caps for caps in avail if need <= caps]
-            if matching:
-                avail.remove(min(matching, key=len))
+            slot = next((i for i, caps in enumerate(avail) if need <= caps), None)
+            if slot is not None:
+                del avail[slot]
             affinity = None
             if self.affinity:  # round-robin over ranks, in dispatch order
                 affinity = driver.n_submitted % driver.n_workers + 1

@@ -19,7 +19,8 @@ one worker fleet:
   per directory, all sharing one :class:`~repro.mw.driver.MWDriver`.
 
 Placement is constraint-checked twice: the scheduler only offers a job
-when an idle worker's capability vector covers it, and the driver's
+when a free worker slot's capability vector covers it
+(:meth:`~repro.mw.driver.MWDriver.capacity`), and the driver's
 :meth:`~repro.mw.driver.MWDriver._pick_worker` enforces the same rule at
 dispatch.  Decisions surface as ``repro_sched_*`` series; ``campaign
 serve --status`` renders the per-tenant view.
@@ -97,7 +98,7 @@ class CampaignScheduler:
     The policy core of ``campaign serve``, kept free of stores, drivers
     and sockets so its fairness properties are directly testable: items
     are opaque, tenants are names, and the only external input is the
-    caller's ``can_place`` predicate (an idle worker whose capability
+    caller's ``can_place`` predicate (a free worker slot whose capability
     vector covers the item exists *right now*).
 
     Fairness contract, for tenants that stay dispatchable (non-empty

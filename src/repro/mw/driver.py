@@ -33,6 +33,18 @@ Both multi-process transports read every worker through one selector on
 the driver's thread, and a dead worker (a dropped connection or
 heartbeat silence) feeds the requeue path.
 
+Every live rank of an asynchronous transport (threaded, process, tcp)
+holds :data:`TASK_SLOTS` tasks at once: the next task already waits in
+the worker's channel while it runs the current one, so the master's
+turnaround — reply decode, harvest, store write, claim, submit —
+overlaps execution instead of idling the worker.  A task goes to the
+eligible rank with the fewest tasks in flight, so work spreads across
+idle workers before any queues.  A straggler — a rank whose mean task
+time is over :data:`STRAGGLER_FACTOR` times the fastest rank's — keeps
+one slot, so no task waits out its run.  The synchronous inproc
+transport runs each task inside ``send`` and keeps one slot per rank,
+which is what makes its round-robin order deterministic.
+
 The campaign engine builds its distributed backend on this driver: each
 :class:`~repro.campaign.spec.Job` becomes one task
 (``python -m repro campaign run <dir> --backend mw``), so campaign sweeps
@@ -44,7 +56,7 @@ from __future__ import annotations
 import logging
 import time
 from collections import deque
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -60,6 +72,15 @@ from repro.mw.worker import Executor
 from repro.telemetry import Telemetry
 
 _log = logging.getLogger(__name__)
+
+#: Tasks a live rank of an asynchronous transport holds at once: one
+#: running and one queued behind it in the worker's channel.
+TASK_SLOTS = 2
+
+#: A rank whose mean task time is more than this many times the fastest
+#: rank's holds one task, not :data:`TASK_SLOTS`: a task queued behind a
+#: straggler's would sit out its whole run while faster ranks free up.
+STRAGGLER_FACTOR = 2.0
 
 
 class MWDriver:
@@ -124,12 +145,14 @@ class MWDriver:
         self._running: Dict[int, MWTask] = {}
         self._shutdown = False
         self.telemetry = telemetry if telemetry is not None else Telemetry.from_env()
-        # Per-rank utilization bookkeeping (always on — two dict writes per
-        # task): dispatch time, task tally, and accumulated busy seconds.
+        # Per-rank utilization bookkeeping (always on — a few dict writes
+        # per task): dispatch time, task tally, accumulated busy seconds,
+        # and each rank's last reply (a queued task's busy time starts there).
         self._t0 = time.monotonic()
         self._rank_tasks: Dict[int, int] = {}
         self._rank_evals: Dict[int, int] = {}
         self._rank_busy: Dict[int, float] = {}
+        self._last_reply: Dict[int, float] = {}
         self._dispatch_t: Dict[int, float] = {}
         seqs = np.random.SeedSequence(seed).spawn(n_workers)
         if transport is None:
@@ -144,8 +167,12 @@ class MWDriver:
         self.transport.telemetry = self.telemetry
         self.transport.start()
         live = self.transport.initially_live()
-        self._alive = {rank: rank in live for rank in range(1, n_workers + 1)}
-        self._idle: List[int] = [r for r in range(1, n_workers + 1) if self._alive[r]]
+        ranks = range(1, n_workers + 1)
+        self._alive = {rank: rank in live for rank in ranks}
+        self._inflight: Dict[int, int] = dict.fromkeys(ranks, 0)
+        # Every rank, in the order a slot of it last freed (join or reply):
+        # the first-come tie-break of _pick_worker.
+        self._order: List[int] = sorted(ranks, key=lambda r: not self._alive[r])
 
     @property
     def _procs(self):
@@ -221,26 +248,32 @@ class MWDriver:
             return True
         return task.constraints <= self.transport.worker_caps(rank)
 
-    def _pick_worker(self, task: MWTask) -> Optional[int]:
-        """Choose an idle eligible worker, honouring affinity when possible.
+    def _pick_worker(self, task: MWTask, limits: Dict[int, int]) -> Optional[int]:
+        """Choose an eligible worker with a free slot, honouring affinity.
 
         Constraints are hard: only workers whose capability vector covers
-        the task's constraint vector are considered.  Among the eligible,
-        the *fewest-capability* worker wins (first-come order breaks
-        ties), so unconstrained tasks don't burn the rare capable ranks
-        that constrained tasks behind them will need.  Affinity is soft:
-        the preferred rank wins when idle and eligible; when the preferred
-        rank is *dead*, falling back to another worker is logged and
-        counted in ``repro_sched_fallbacks_total`` — a silent fallback
-        used to hide exactly the placement drift operators care about.
+        the task's constraint vector are considered.  Among the eligible
+        ranks with a free task slot (``limits``, from
+        :meth:`_slot_limits`), the one with the *fewest tasks in
+        flight* wins — two tasks on two idle workers go one to each —
+        then the *fewest-capability* one, so unconstrained tasks don't
+        burn the rare capable ranks that constrained tasks behind them
+        will need, then the one whose slot freed first.  Affinity is
+        soft: the preferred rank wins when it is eligible and no less
+        free than that pick; when the preferred rank is *dead*, falling
+        back to another worker is logged and counted in
+        ``repro_sched_fallbacks_total`` — a silent fallback used to hide
+        exactly the placement drift operators care about.
         """
-        live_idle = [r for r in self._idle if self._alive[r]]
-        eligible = [r for r in live_idle if self._eligible(task, r)]
+        inflight = self._inflight
+        eligible = [r for r in self._order
+                    if inflight[r] < limits.get(r, 0) and self._eligible(task, r)]
         if not eligible:
             return None
-        pick = min(eligible, key=lambda r: len(self.transport.worker_caps(r)))
+        pick = min(eligible,
+                   key=lambda r: (inflight[r], len(self.transport.worker_caps(r))))
         if task.affinity is not None:
-            if task.affinity in eligible:
+            if task.affinity in eligible and inflight[task.affinity] == inflight[pick]:
                 return task.affinity
             if not self._alive.get(task.affinity, False):
                 _log.warning(
@@ -255,27 +288,66 @@ class MWDriver:
                 ).inc()
         return pick
 
-    def _live_idle_count(self) -> int:
-        return sum(1 for r in self._idle if self._alive[r])
+    def _slot_limits(self) -> Dict[int, int]:
+        """Task slots of each live rank: one on the synchronous transport,
+        else :data:`TASK_SLOTS`, or one for a straggler (its mean task time,
+        from the busy-time bookkeeping, above :data:`STRAGGLER_FACTOR` times
+        the fastest rank's)."""
+        live = [r for r in self._order if self._alive[r]]
+        if self.transport.synchronous:
+            return dict.fromkeys(live, 1)
+        means = {r: self._rank_busy[r] / self._rank_tasks[r]
+                 for r in live if self._rank_tasks.get(r)}
+        cutoff = STRAGGLER_FACTOR * min(means.values(), default=0.0)
+        return {r: 1 if means.get(r, 0.0) > cutoff else TASK_SLOTS for r in live}
+
+    def _slot_freed(self, rank: int) -> None:
+        """Move ``rank`` to the back of the first-come order."""
+        self._order.remove(rank)
+        self._order.append(rank)
+
+    def capacity(self) -> Tuple[List[FrozenSet[str]], List[FrozenSet[str]]]:
+        """Free task slots and live workers, as capability vectors.
+
+        Returns ``(free, live)``: ``free`` has one entry per free task
+        slot of a live rank, in the order :meth:`_pick_worker` fills
+        them, so a caller that places work ahead of dispatch mirrors the
+        driver by taking, per task, the first entry covering the task's
+        constraints (affinity aside); ``live`` has one entry per live
+        rank.  The campaign dispatch loop offers scheduler slots from it.
+        """
+        slots = []
+        live = []
+        limits = self._slot_limits()
+        for position, rank in enumerate(self._order):
+            if rank not in limits:
+                continue
+            caps = self.transport.worker_caps(rank)
+            live.append(caps)
+            slots.extend(((n, len(caps), position), caps)
+                         for n in range(self._inflight[rank], limits[rank]))
+        slots.sort(key=lambda slot: slot[0])
+        return [caps for _, caps in slots], live
 
     def _dispatch(self) -> bool:
-        """Send as many pending tasks as there are idle eligible workers.
+        """Send pending tasks while eligible workers have free slots.
 
-        A constrained task with no idle eligible worker is deferred
+        A constrained task with no eligible free slot is deferred
         without blocking the tasks behind it (no head-of-line blocking);
-        the loop stops only when every idle worker is taken.
+        the loop stops only when every live slot is taken.
         """
         sent = False
         deferred: deque[MWTask] = deque()
+        limits = self._slot_limits()
         while self._pending:
-            if not self._live_idle_count():
+            if not any(self._inflight[r] < n for r, n in limits.items()):
                 break
             task = self._pending.popleft()
-            rank = self._pick_worker(task)
+            rank = self._pick_worker(task, limits)
             if rank is None:
                 deferred.append(task)
                 continue
-            self._idle.remove(rank)
+            self._inflight[rank] += 1
             task.mark_running(rank)
             self._running[task.task_id] = task
             self._dispatch_t[task.task_id] = time.monotonic()
@@ -291,7 +363,7 @@ class MWDriver:
             self.transport.send(rank, message)
             if self.transport.synchronous:
                 # the reply is already buffered; handle it before the next
-                # pick so the worker returns to the idle pool (deterministic
+                # pick so the worker's slot frees first (deterministic
                 # round-robin and per-task affinity, as inproc always had)
                 self._drain_buffered_replies()
             sent = True
@@ -314,13 +386,18 @@ class MWDriver:
         rank = task.worker
         self._running.pop(task.task_id, None)
         t_sent = self._dispatch_t.pop(task.task_id, None)
-        if rank is not None:
-            busy = 0.0 if t_sent is None else time.monotonic() - t_sent
-            self._rank_tasks[rank] = self._rank_tasks.get(rank, 0) + 1
-            self._rank_evals[rank] = self._rank_evals.get(rank, 0) + task.n_evals
-            self._rank_busy[rank] = self._rank_busy.get(rank, 0.0) + busy
-        if rank is not None and rank not in self._idle and self._alive.get(rank, False):
-            self._idle.append(rank)
+        now = time.monotonic()
+        # a queued task starts when the rank's previous reply left it, so
+        # overlapping dispatch-to-reply spans are not counted twice
+        start = max(t_sent if t_sent is not None else now,
+                    self._last_reply.get(rank, 0.0))
+        self._last_reply[rank] = now
+        self._rank_tasks[rank] = self._rank_tasks.get(rank, 0) + 1
+        self._rank_evals[rank] = self._rank_evals.get(rank, 0) + task.n_evals
+        self._rank_busy[rank] = self._rank_busy.get(rank, 0.0) + now - start
+        self._inflight[rank] -= 1
+        if self._alive[rank]:
+            self._slot_freed(rank)
         if message.tag == MSG_RESULT:
             self.telemetry.counter(
                 "repro_mw_replies_total", "Task replies from workers.",
@@ -345,7 +422,9 @@ class MWDriver:
                 ).inc()
 
     def _requeue_tasks_of(self, rank: int) -> None:
-        """Return a dead worker's in-flight tasks to the queue (or fail them)."""
+        """Return a dead worker's in-flight tasks to the queue (or fail them),
+        in the order they were dispatched."""
+        self._inflight[rank] = 0
         for task in list(self._running.values()):
             if task.worker == rank:
                 self._running.pop(task.task_id, None)
@@ -361,18 +440,13 @@ class MWDriver:
                     ).inc()
 
     def _poll_transport(self) -> None:
-        """Apply join/death events: liveness, idle pool, crash requeue."""
+        """Apply join/death events: liveness, slot order, crash requeue."""
         for kind, rank in self.transport.poll():
             if kind == EVENT_JOINED:
                 self._alive[rank] = True
-                if rank not in self._idle and not any(
-                    t.worker == rank for t in self._running.values()
-                ):
-                    self._idle.append(rank)
+                self._slot_freed(rank)
             elif kind == EVENT_DIED:
                 self._alive[rank] = False
-                if rank in self._idle:
-                    self._idle.remove(rank)
                 self.telemetry.counter(
                     "repro_mw_worker_deaths_total",
                     "Workers declared dead (crash or heartbeat silence).",
@@ -495,7 +569,9 @@ class MWDriver:
         """Per-rank utilization rows — the paper-style worker table.
 
         One row per rank: ``tasks`` completed (replies received),
-        ``busy_s`` accumulated dispatch-to-reply seconds, ``elapsed_s``
+        ``busy_s`` the seconds the rank held work — each task counts from
+        its dispatch, or from the rank's previous reply when it was
+        queued behind that task, to its reply — ``elapsed_s``
         the observation window (driver lifetime unless given),
         ``utilization`` their ratio, ``alive``, ``inflight`` — the
         number of *evaluations* currently dispatched to the rank but

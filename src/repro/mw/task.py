@@ -33,10 +33,10 @@ class MWTask:
         Codec-serializable payload describing the computation.
     affinity:
         Preferred worker rank (the paper binds each simplex vertex to a
-        dedicated worker); ``None`` lets the driver pick any idle worker.
-        Affinity is *soft*: if the preferred rank is busy or dead the
-        driver falls back to another eligible worker (and counts the
-        fallback).
+        dedicated worker); ``None`` lets the driver pick any worker with
+        a free slot.  Affinity is *soft*: if the preferred rank is busier
+        than another eligible worker, or dead, the driver falls back to
+        that worker (and counts a fallback off a dead rank).
     constraints:
         Capability constraint vector — an iterable of capability names
         (e.g. ``("md",)``).  The driver dispatches the task only to

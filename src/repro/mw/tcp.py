@@ -96,6 +96,10 @@ DEFAULT_HEARTBEAT_INTERVAL = 1.0
 #: (no heartbeat, result, or error frame) is presumed crashed.
 HEARTBEAT_TIMEOUT_INTERVALS = 5.0
 
+#: Seconds a closing process fleet waits, in all, for its workers to
+#: exit after ``shutdown`` before it kills the stragglers.
+FLEET_JOIN_TIMEOUT_S = 5.0
+
 
 def send_frame(sock: socket.socket, message: Message) -> None:
     """Write one framed message to the socket."""
@@ -421,12 +425,20 @@ class ProcessTransport(SocketMasterTransport):
         return set(range(1, self.n_workers + 1))
 
     def close(self) -> None:
-        """Fan out ``shutdown``, then join every worker and terminate stragglers."""
+        """Fan out ``shutdown``, join the fleet, then kill and reap stragglers.
+
+        The join waits :data:`FLEET_JOIN_TIMEOUT_S` in all.  A straggler
+        gets SIGKILL, not SIGTERM: a stopped (SIGSTOPped) worker never
+        acts on SIGTERM and would outlive its master.
+        """
         super().close()
+        deadline = time.monotonic() + FLEET_JOIN_TIMEOUT_S
         for proc in self.procs.values():
-            proc.join(timeout=5.0)
+            proc.join(timeout=max(0.0, deadline - time.monotonic()))
+        for proc in self.procs.values():
             if proc.is_alive():
-                proc.terminate()
+                proc.kill()
+                proc.join(timeout=FLEET_JOIN_TIMEOUT_S)
 
 
 class TcpMasterTransport(SocketMasterTransport):

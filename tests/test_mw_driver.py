@@ -47,6 +47,11 @@ def slow_square(work, ctx):
     return work * work
 
 
+def slow_on_rank_1(work, ctx):
+    time.sleep(0.1 if ctx.rank == 1 else 0.001)
+    return work
+
+
 class TestMessages:
     def test_message_roundtrip(self):
         msg = Message(tag=MSG_TASK, sender=0, payload={"task_id": 1, "work": 2})
@@ -284,6 +289,31 @@ class TestBatchAccounting:
             rows = driver.utilization()
             assert sum(r["inflight"] for r in rows) == 8
             driver.wait_all(timeout=30)
+
+
+class TestQueuedUtilization:
+    def test_queued_tasks_keep_utilization_at_most_one(self):
+        """Two tasks in flight per rank overlap; each is counted from the
+        rank's previous reply, so busy time never exceeds wall time."""
+        with MWDriver(slow_square, n_workers=2, backend="threaded", seed=0) as driver:
+            for i in range(20):
+                driver.submit(i)
+            driver.pump(timeout=0.0)
+            assert driver.stats()["running"] == 4  # a task queued per rank
+            driver.wait_all(timeout=30)
+            rows = driver.utilization()
+        assert sum(row["tasks"] for row in rows) == 20
+        assert all(0.0 < row["utilization"] <= 1.0 for row in rows), rows
+
+    def test_straggler_keeps_one_slot(self):
+        """No task queues behind a rank far slower than the fastest."""
+        with MWDriver(slow_on_rank_1, n_workers=2, backend="threaded", seed=0) as driver:
+            assert driver.capacity() == ([frozenset()] * 4, [frozenset()] * 2)
+            for i in range(6):
+                driver.submit(i, affinity=1 + i % 2)
+            driver.wait_all(timeout=30)
+            assert driver._slot_limits() == {1: 1, 2: 2}
+            assert driver.capacity()[0] == [frozenset()] * 3
 
 
 class TestCapsAndConstraints:

@@ -18,7 +18,11 @@ from pathlib import Path
 import pytest
 
 from repro.mw import MWDriver
-from repro.mw.tcp import DEFAULT_HEARTBEAT_INTERVAL, HEARTBEAT_TIMEOUT_INTERVALS
+from repro.mw.tcp import (
+    DEFAULT_HEARTBEAT_INTERVAL,
+    FLEET_JOIN_TIMEOUT_S,
+    HEARTBEAT_TIMEOUT_INTERVALS,
+)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -34,13 +38,18 @@ def rank_reporter(work, ctx):
     return ctx.rank
 
 
-def _running(pid):
-    """Whether ``pid`` is a live process (an unreaped zombie has exited)."""
+def _state(pid):
+    """``pid``'s state letter from ``/proc`` (``None`` once it is reaped)."""
     try:
         with open(f"/proc/{pid}/stat") as f:
-            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+            return f.read().rsplit(")", 1)[1].split()[0]
     except FileNotFoundError:
-        return False
+        return None
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process (an unreaped zombie has exited)."""
+    return _state(pid) not in (None, "Z")
 
 
 class TestProcessFleet:
@@ -107,4 +116,22 @@ class TestProcessFleet:
                 assert not driver._alive[1]
                 assert [t.result for t in tasks] == [2, 2]
             finally:
+                os.kill(victim, signal.SIGKILL)
+
+    @needs_proc
+    def test_stopped_worker_does_not_outlive_shutdown(self):
+        """A SIGSTOPped worker never acts on SIGTERM; shutdown kills and
+        reaps it within the join bound instead of leaving it stopped."""
+        driver = MWDriver(square, n_workers=2, backend="process", seed=0)
+        victim = driver._procs[1].pid
+        os.kill(victim, signal.SIGSTOP)
+        try:
+            start = time.monotonic()
+            driver.shutdown()
+            assert time.monotonic() - start < FLEET_JOIN_TIMEOUT_S + 2.0
+            assert _state(victim) is None, (
+                f"worker {victim} left in state {_state(victim)}")
+            assert not any(_running(p.pid) for p in driver._procs.values())
+        finally:
+            if _running(victim):
                 os.kill(victim, signal.SIGKILL)

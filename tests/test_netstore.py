@@ -345,6 +345,35 @@ class TestReconnectResume:
         self.restart_server(served)
         assert {r["job_id"] for r in client.records()} == {"a"}
 
+    def test_reconnect_redials_after_a_reset_handshake(self, served):
+        """A reconnect dial that is accepted and then reset — as one landing
+        in a dying server's listen backlog is — redials until the restarted
+        server answers, instead of spending the call's one resend."""
+        client = served(reconnect_timeout=10.0)
+        client.record({"job_id": "a", "status": "done"})
+        port = served.server.port
+        served.server.close()
+        resets = []
+
+        def reset_first_connection_then_restart():
+            with socket.create_server(("127.0.0.1", port)) as listener:
+                conn, _ = listener.accept()
+                # linger 0: close() sends RST, not FIN
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                struct.pack("ii", 1, 0))
+                conn.close()
+                resets.append(port)
+            server = StoreServer(served.backend, listen=f"127.0.0.1:{port}")
+            server.start()
+            served.server = server
+
+        helper = threading.Thread(target=reset_first_connection_then_restart,
+                                  daemon=True)
+        helper.start()
+        assert client.counts() == {"total": 1, "done": 1, "failed": 0}
+        helper.join(timeout=10)
+        assert resets == [port]
+
     def test_unreachable_server_fails_with_context(self):
         client = NetworkStoreBackend(f"store://127.0.0.1:{free_port()}",
                                      connect_timeout=0.3)
