@@ -21,11 +21,12 @@ Usage::
         --check benchmarks/baselines/bench_campaign.json --tolerance 0.40
 
 ``--json`` writes the measurements for the CI artifact; ``--check``
-compares the gated cell's jobs/s *and* the batch speedup ratio against a
-committed baseline and exits non-zero when either regressed by more than
-``--tolerance`` (the CI bench-campaign gate).  The speedup ratio is the
-robust number on shared CI machines — both legs run on the same box, so
-machine speed divides out.
+compares the gated cell's jobs/s (the median of :data:`GATED_RUNS` runs)
+*and* the batch speedup ratio against a committed baseline and exits
+non-zero when either regressed by more than ``--tolerance`` (the CI
+bench-campaign gate).  The speedup ratio is the robust number on shared
+CI machines — both legs run on the same box, so machine speed divides
+out.
 """
 
 from __future__ import annotations
@@ -55,6 +56,13 @@ GATED_STORE = "sqlite"
 #: The batch sizes whose jobs/s ratio is the headline speedup.
 SPEEDUP_BASE = 1
 SPEEDUP_BATCH = 32
+
+#: Runs of the gated batch cell.  It lasts about 2 s, so one run's jobs/s
+#: spreads wider than the gate on a shared box; the cell (and so the
+#: speedup's numerator) is judged on its median run, the rule
+#: ``bench_store.py`` uses for its netstore factor.  The 12 s q1 leg
+#: runs once.
+GATED_RUNS = 3
 
 #: Default cell grid: (transport, store, eval_batch).
 DEFAULT_CELLS = (
@@ -213,17 +221,26 @@ def run_cell_isolated(
 
 def run_benchmark(args: argparse.Namespace) -> dict:
     cells = {}
+    gated = cell_key(GATED_TRANSPORT, GATED_STORE, SPEEDUP_BATCH)
     for transport, store, eval_batch in DEFAULT_CELLS:
         key = cell_key(transport, store, eval_batch)
-        print(f"running {key} ...", flush=True)
-        cells[key] = run_cell_isolated(transport, store, eval_batch, args)
-        c = cells[key]
-        print(
-            f"  {c['jobs_per_s']:.2f} jobs/s  {c['evals_per_s']:,.0f} evals/s  "
-            f"{c['evals_per_job']:,.0f} evals/job  "
-            f"frame fill {c['avg_frame_fill']:.1f}",
-            flush=True,
-        )
+        n_runs = GATED_RUNS if key == gated else 1
+        print(f"running {key} ..." + (f" (median of {n_runs} runs)" if n_runs > 1 else ""),
+              flush=True)
+        runs = []
+        for _ in range(n_runs):
+            c = run_cell_isolated(transport, store, eval_batch, args)
+            runs.append(c)
+            print(
+                f"  {c['jobs_per_s']:.2f} jobs/s  {c['evals_per_s']:,.0f} evals/s  "
+                f"{c['evals_per_job']:,.0f} evals/job  "
+                f"frame fill {c['avg_frame_fill']:.1f}",
+                flush=True,
+            )
+        runs.sort(key=lambda run: run["jobs_per_s"])
+        cells[key] = runs[len(runs) // 2]
+        if n_runs > 1:
+            cells[key]["runs_jobs_per_s"] = [run["jobs_per_s"] for run in runs]
 
     base = cells[cell_key(GATED_TRANSPORT, GATED_STORE, SPEEDUP_BASE)]
     batch = cells[cell_key(GATED_TRANSPORT, GATED_STORE, SPEEDUP_BATCH)]

@@ -18,51 +18,37 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
 """
 
-from repro.core import (
-    ALGORITHMS,
-    AndersonSimplex,
-    ConditionSet,
-    DET,
-    MN,
-    MaxNoise,
-    NelderMead,
-    OptimizationResult,
-    PC,
-    PCMN,
-    PCMaxNoise,
-    PointComparison,
-    Simplex,
-    optimize,
-)
-from repro.noise import (
-    NoiseModel,
-    SamplingPool,
-    StochasticFunction,
-    VertexEvaluation,
-    VirtualClock,
-)
+from repro._lazy import lazy_exports as _lazy_exports
+
+# Every `python -m repro` process imports this package, so it loads
+# nothing eagerly: the optimizers (and numpy) load on first use.
+_EXPORTS = {
+    "repro.core": (
+        "ALGORITHMS",
+        "AndersonSimplex",
+        "ConditionSet",
+        "DET",
+        "MN",
+        "MaxNoise",
+        "NelderMead",
+        "OptimizationResult",
+        "PC",
+        "PCMN",
+        "PCMaxNoise",
+        "PointComparison",
+        "Simplex",
+        "optimize",
+    ),
+    "repro.noise": (
+        "NoiseModel",
+        "SamplingPool",
+        "StochasticFunction",
+        "VertexEvaluation",
+        "VirtualClock",
+    ),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ALGORITHMS",
-    "AndersonSimplex",
-    "ConditionSet",
-    "DET",
-    "MN",
-    "MaxNoise",
-    "NelderMead",
-    "NoiseModel",
-    "OptimizationResult",
-    "PC",
-    "PCMN",
-    "PCMaxNoise",
-    "PointComparison",
-    "SamplingPool",
-    "Simplex",
-    "StochasticFunction",
-    "VertexEvaluation",
-    "VirtualClock",
-    "optimize",
-    "__version__",
-]
+__all__ = [*(name for names in _EXPORTS.values() for name in names), "__version__"]

@@ -42,131 +42,86 @@ See ``docs/CAMPAIGNS.md`` for the end-to-end guide and
 ``docs/ARCHITECTURE.md`` for how this subsystem fits the rest.
 """
 
-from repro.campaign.backends import (
-    ENGINE_JSONL,
-    ENGINE_SQLITE,
-    ENGINE_STORE,
-    MANIFEST_FILENAME,
-    STORE_ENGINES,
-    NetworkStoreBackend,
-    NetworkStoreError,
-    SQLiteStoreBackend,
-    StoreBackend,
-    StoreServer,
-    migrate_store,
-    open_store,
-    parse_store_spec,
-    read_manifest,
-)
-from repro.campaign.aggregate import (
-    CellSummary,
-    PairedComparison,
-    compare_labels,
-    paired_minima_from_records,
-    summarize,
-)
-from repro.campaign.execution import (
-    JOB_AUDIT_ENV,
-    RUN_ID_ENV,
-    execute_job,
-    job_function,
-    mw_job_executor,
-    run_job,
-)
-from repro.campaign.progress import (
-    CellProgress,
-    ProgressSnapshot,
-    WorkerUtilization,
-    cells_from_status,
-    format_duration,
-    seed_rate,
-    watch_campaign,
-    workers_from_trace,
-)
-from repro.campaign.runner import (
-    DEFAULT_LEASE_TTL,
-    MW_TRANSPORTS,
-    RESULTS_FILENAME,
-    RUNNER_BACKENDS,
-    SPEC_FILENAME,
-    Campaign,
-    CampaignReport,
-    CampaignRunner,
-    default_runner_id,
-)
-from repro.campaign.scheduler import (
-    CampaignScheduler,
-    MultiCampaignMaster,
-    TenantQueue,
-    serve_status,
-)
-from repro.campaign.spec import AlgorithmVariant, CampaignSpec, Job, canonical_json
-from repro.campaign.store import (
-    STATUS_CLAIMED,
-    STATUS_DONE,
-    STATUS_FAILED,
-    STATUS_RELEASED,
-    CompactionStats,
-    Lease,
-    ResultStore,
-)
+from repro._lazy import lazy_exports as _lazy_exports
 
-__all__ = [
-    "AlgorithmVariant",
-    "Campaign",
-    "CampaignReport",
-    "CampaignRunner",
-    "CampaignScheduler",
-    "CampaignSpec",
-    "CellProgress",
-    "CellSummary",
-    "CompactionStats",
-    "DEFAULT_LEASE_TTL",
-    "ENGINE_JSONL",
-    "ENGINE_SQLITE",
-    "ENGINE_STORE",
-    "JOB_AUDIT_ENV",
-    "Job",
-    "Lease",
-    "MANIFEST_FILENAME",
-    "MW_TRANSPORTS",
-    "MultiCampaignMaster",
-    "NetworkStoreBackend",
-    "NetworkStoreError",
-    "PairedComparison",
-    "ProgressSnapshot",
-    "RESULTS_FILENAME",
-    "RUNNER_BACKENDS",
-    "RUN_ID_ENV",
-    "ResultStore",
-    "SPEC_FILENAME",
-    "STATUS_CLAIMED",
-    "STATUS_DONE",
-    "STATUS_FAILED",
-    "STATUS_RELEASED",
-    "STORE_ENGINES",
-    "SQLiteStoreBackend",
-    "StoreBackend",
-    "StoreServer",
-    "TenantQueue",
-    "WorkerUtilization",
-    "canonical_json",
-    "cells_from_status",
-    "compare_labels",
-    "default_runner_id",
-    "execute_job",
-    "format_duration",
-    "job_function",
-    "migrate_store",
-    "mw_job_executor",
-    "open_store",
-    "paired_minima_from_records",
-    "parse_store_spec",
-    "read_manifest",
-    "run_job",
-    "seed_rate",
-    "serve_status",
-    "summarize",
-    "watch_campaign",
-    "workers_from_trace",
-]
+# Lazy, so a process that needs one corner of the campaign layer (a
+# `store-serve` needs only the engines, a worker only `.execution`)
+# imports only that corner.
+_EXPORTS = {
+    "repro.campaign.backends": (
+        "ENGINE_JSONL",
+        "ENGINE_SQLITE",
+        "ENGINE_STORE",
+        "MANIFEST_FILENAME",
+        "STORE_ENGINES",
+        "NetworkStoreBackend",
+        "NetworkStoreError",
+        "SQLiteStoreBackend",
+        "StoreBackend",
+        "StoreServer",
+        "migrate_store",
+        "open_store",
+        "parse_store_spec",
+        "read_manifest",
+    ),
+    "repro.campaign.aggregate": (
+        "CellSummary",
+        "PairedComparison",
+        "compare_labels",
+        "paired_minima_from_records",
+        "summarize",
+    ),
+    "repro.campaign.execution": (
+        "JOB_AUDIT_ENV",
+        "RUN_ID_ENV",
+        "execute_job",
+        "job_function",
+        "mw_job_executor",
+        "run_job",
+    ),
+    "repro.campaign.progress": (
+        "CellProgress",
+        "ProgressSnapshot",
+        "WorkerUtilization",
+        "cells_from_status",
+        "format_duration",
+        "seed_rate",
+        "watch_campaign",
+        "workers_from_trace",
+    ),
+    "repro.campaign.runner": (
+        "DEFAULT_LEASE_TTL",
+        "MW_TRANSPORTS",
+        "RESULTS_FILENAME",
+        "RUNNER_BACKENDS",
+        "SPEC_FILENAME",
+        "Campaign",
+        "CampaignReport",
+        "CampaignRunner",
+        "default_runner_id",
+    ),
+    "repro.campaign.scheduler": (
+        "CampaignScheduler",
+        "MultiCampaignMaster",
+        "TenantQueue",
+        "serve_status",
+    ),
+    "repro.campaign.spec": (
+        "AlgorithmVariant",
+        "CampaignSpec",
+        "Job",
+        "canonical_json",
+    ),
+    "repro.campaign.store": (
+        "STATUS_CLAIMED",
+        "STATUS_DONE",
+        "STATUS_FAILED",
+        "STATUS_RELEASED",
+        "CompactionStats",
+        "Lease",
+        "ResultStore",
+    ),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+
+__all__ = [name for names in _EXPORTS.values() for name in names]

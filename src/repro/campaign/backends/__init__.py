@@ -26,7 +26,9 @@ and convert between local engines with ``campaign migrate-store``
 from pathlib import Path
 from typing import List, Optional, Tuple
 
+from repro._lazy import lazy_exports as _lazy_exports
 from repro.campaign.backends.base import (
+    ENGINE_STORE,
     LEASE_STATUSES,
     MANIFEST_FILENAME,
     STATUS_CLAIMED,
@@ -36,22 +38,29 @@ from repro.campaign.backends.base import (
     CompactionStats,
     Lease,
     StoreBackend,
+    is_store_url,
     read_manifest,
 )
-from repro.campaign.backends.netstore import (
-    ENGINE_STORE,
-    NetworkStoreBackend,
-    NetworkStoreError,
-    StoreServer,
-    is_store_url,
-    open_network_store,
-    parse_store_url,
-)
-from repro.campaign.backends.sqlite import DB_FILENAME, SQLiteStoreBackend
 
-# After the engines: repro.campaign.store imports backends.base, which is
-# loaded by then (the package __init__ imports this package first).
-from repro.campaign.store import ResultStore
+# The engines are imported where they are opened, and re-exported
+# lazily.  Every module of the store layer imports backends.base, which
+# runs this package first: a campaign worker needs only the record
+# statuses, and a top-level import of the jsonl engine
+# (repro.campaign.store) here would be a cycle whenever that module is
+# the first one imported.
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.campaign.backends.netstore": (
+        "NetworkStoreBackend",
+        "NetworkStoreError",
+        "StoreServer",
+        "open_network_store",
+        "parse_store_url",
+    ),
+    "repro.campaign.backends.sqlite": (
+        "DB_FILENAME",
+        "SQLiteStoreBackend",
+    ),
+})
 
 #: The single-file JSONL engine.
 ENGINE_JSONL = "jsonl"
@@ -81,6 +90,8 @@ def parse_store_spec(spec):
     if spec is None:
         return None
     if is_store_url(spec):
+        from repro.campaign.backends.netstore import parse_store_url
+
         parse_store_url(spec)  # validate host:port up front
         return str(spec)
     if spec in (ENGINE_JSONL, ENGINE_SQLITE):
@@ -102,6 +113,8 @@ def _fold_legacy_file(store: StoreBackend, directory: Path) -> StoreBackend:
     migrator may win the rename race; its fold equals ours, so losing it
     is fine.  In-flight lease lines are *not* migrated.
     """
+    from repro.campaign.store import ResultStore
+
     legacy = directory / LEGACY_RESULTS_FILENAME
     if legacy.exists():
         _copy_records(ResultStore(legacy).records(), store)
@@ -141,6 +154,8 @@ def _old_sharded_records(directory: Path, manifest: dict) -> List[dict]:
     record set (lease lines and a torn final line are skipped, as in any
     JSONL read).  Nothing in ``directory`` is written.
     """
+    from repro.campaign.store import ResultStore
+
     records: List[dict] = []
     for k in range(int(manifest["n_shards"])):
         records.extend(ResultStore(directory / f"results-{k}.jsonl").records())
@@ -171,6 +186,8 @@ def open_store(directory, engine: Optional[str] = None) -> StoreBackend:
     :class:`~repro.campaign.backends.base.StoreBackend`; all engines
     expose the same interface.
     """
+    from repro.campaign.backends.netstore import open_network_store
+
     directory = Path(directory)
     if engine is not None and is_store_url(engine):
         return open_network_store(engine, directory=directory)
@@ -192,9 +209,13 @@ def open_store(directory, engine: Optional[str] = None) -> StoreBackend:
     if existing == ENGINE_STORE:
         return open_network_store(manifest["url"], directory=directory)
     if (existing or engine) == ENGINE_SQLITE:
+        from repro.campaign.backends.sqlite import SQLiteStoreBackend
+
         return _fold_legacy_file(SQLiteStoreBackend(directory), directory)
     if existing is not None or engine not in (None, ENGINE_JSONL):
         raise ValueError(f"unknown store engine {existing or engine!r}")
+    from repro.campaign.store import ResultStore
+
     return ResultStore(directory / LEGACY_RESULTS_FILENAME)
 
 

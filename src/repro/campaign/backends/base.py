@@ -37,7 +37,9 @@ import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Any, Dict, List, Optional, Sequence, Set
+
+from repro.telemetry import Telemetry
 
 #: Result-record statuses (durable job outcomes).
 STATUS_DONE = "done"
@@ -50,6 +52,18 @@ LEASE_STATUSES = (STATUS_CLAIMED, STATUS_RELEASED)
 #: Manifest file pinning a directory's store engine.
 MANIFEST_FILENAME = "store-manifest.json"
 _MANIFEST_VERSION = 1
+
+#: The engine identifier ``store-manifest.json`` records for a campaign
+#: directory whose results live behind a ``store://`` server.
+ENGINE_STORE = "store"
+
+#: URL scheme selecting the network engine in ``--store`` specs.
+STORE_URL_PREFIX = "store://"
+
+
+def is_store_url(spec: Any) -> bool:
+    """Whether ``spec`` is a ``store://host:port`` engine spec."""
+    return isinstance(spec, str) and spec.startswith(STORE_URL_PREFIX)
 
 
 def read_manifest(directory) -> Optional[dict]:
@@ -211,8 +225,6 @@ class StoreBackend(abc.ABC):
         """
         got = getattr(self, "_telemetry", None)
         if got is None:
-            from repro.telemetry import Telemetry
-
             got = Telemetry.from_env()
             self._telemetry = got
         return got

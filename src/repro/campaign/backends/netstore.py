@@ -73,11 +73,14 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.campaign.backends.base import (
+    ENGINE_STORE,
     MANIFEST_FILENAME,
+    STORE_URL_PREFIX,
     CompactionStats,
     Lease,
     StoreBackend,
     _write_manifest_file,
+    is_store_url,
     read_manifest,
 )
 from repro.wire import (
@@ -93,13 +96,6 @@ from repro.wire import (
     read_frame,
     split_frames,
 )
-
-#: The engine identifier ``store-manifest.json`` records for a campaign
-#: directory whose results live behind a ``store://`` server.
-ENGINE_STORE = "store"
-
-#: URL scheme selecting the network engine in ``--store`` specs.
-STORE_URL_PREFIX = "store://"
 
 #: Protocol version carried in the hello handshake; a mismatch is
 #: refused up front instead of failing on some later frame.
@@ -124,11 +120,6 @@ class NetworkStoreError(OSError):
     interrupt-path release is best-effort), and a briefly unreachable
     store server deserves exactly that handling.
     """
-
-
-def is_store_url(spec: Any) -> bool:
-    """Whether ``spec`` is a ``store://host:port`` engine spec."""
-    return isinstance(spec, str) and spec.startswith(STORE_URL_PREFIX)
 
 
 def parse_store_url(url: str) -> Tuple[str, int]:

@@ -28,8 +28,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.campaign.backends.base import STATUS_DONE, STATUS_FAILED
 from repro.campaign.spec import Job
-from repro.campaign.store import STATUS_DONE, STATUS_FAILED
 from repro.core.driver import make_optimizer
 from repro.core.state import OptimizationResult
 from repro.core.termination import default_termination

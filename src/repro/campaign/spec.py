@@ -25,10 +25,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
-import numpy as np
-
-from repro.core.state import plain_json
-
 #: Fields that define a job's aggregation cell (everything but the seed
 #: that varies across a grid) — the single definition behind
 #: :attr:`Job.cell` and the SQLite store's cell index.
@@ -61,6 +57,18 @@ _IDENTITY_FIELDS = (
 )
 
 
+def _plain_json(value: Any) -> Any:
+    """:func:`repro.core.state.plain_json`, imported on first use.
+
+    That module brings numpy, and the store engines import this one for
+    :data:`CELL_FIELDS` alone.  The first call swaps the real function in.
+    """
+    global _plain_json
+    from repro.core.state import plain_json as _plain_json
+
+    return _plain_json(value)
+
+
 def _canonical(value: Any) -> Any:
     """Reduce a value to canonical JSON-compatible types.
 
@@ -73,9 +81,9 @@ def _canonical(value: Any) -> Any:
     """
     if isinstance(value, Mapping):
         return {str(k): _canonical(v) for k, v in sorted(value.items())}
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return [_canonical(v) for v in plain_json(value)]
-    plain = plain_json(value)
+    plain = _plain_json(value)  # lists, tuples and arrays come back as lists
+    if isinstance(plain, list):
+        return [_canonical(v) for v in plain]
     if plain is None or isinstance(plain, (bool, int, float, str)):
         return plain
     return repr(plain)
@@ -285,6 +293,8 @@ class CampaignSpec:
         """The per-job integer seeds, explicit or SeedSequence-spawned."""
         if self.seeds is not None:
             return [int(s) for s in self.seeds]
+        import numpy as np
+
         root = np.random.SeedSequence(self.base_seed)
         return [int(child.generate_state(1, np.uint32)[0]) for child in root.spawn(self.n_seeds)]
 

@@ -46,10 +46,10 @@ import argparse
 import sys
 from typing import List, Optional
 
-import numpy as np
-
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from repro.core import optimize
 
     extra = {}
@@ -96,6 +96,8 @@ def _cmd_water(args: argparse.Namespace) -> int:
 
 
 def _cmd_scaleup(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from repro.cluster import Cluster, SimulatedMWPool
     from repro.core import MaxNoise, default_termination
     from repro.functions import Rosenbrock, random_vertices

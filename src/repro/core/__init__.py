@@ -13,85 +13,82 @@ Anderson  :class:`~repro.core.anderson.AndersonSimplex` eq. 2.4 comparator
 ========  =========================================  ==========================
 """
 
-from repro.core.anderson import AndersonSimplex, AndersonStructureSearch
-from repro.core.base import (
-    TELL_APPLIED,
-    TELL_DUPLICATE,
-    TELL_EXTRA,
-    TELL_STALE,
-    Proposal,
-    SimplexOptimizer,
-)
-from repro.core.checkpoint import resume, save_checkpoint, snapshot
-from repro.core.comparisons import ComparisonStats, ConditionSet, Decision, compare
-from repro.core.driver import ALGORITHMS, make_optimizer, optimize
-from repro.core.maxnoise import MN, MaxNoise
-from repro.core.nelder_mead import DET, NelderMead
-from repro.core.pc_maxnoise import PCMN, PCMaxNoise
-from repro.core.point_compare import PC, PointComparison
-from repro.core.pso import NoisyPSO, pso_polish
-from repro.core.simplex import (
-    Simplex,
-    collapse_point,
-    contract_point,
-    diameter,
-    expand_point,
-    reflect_point,
-)
-from repro.core.state import OptimizationResult, StepRecord, Trace
-from repro.core.termination import (
-    CompositeTermination,
-    DiameterTermination,
-    MaxStepsTermination,
-    TerminationCriterion,
-    ToleranceTermination,
-    WalltimeTermination,
-    default_termination,
-)
+from repro._lazy import lazy_exports as _lazy_exports
 
-__all__ = [
-    "ALGORITHMS",
-    "AndersonSimplex",
-    "AndersonStructureSearch",
-    "ComparisonStats",
-    "CompositeTermination",
-    "ConditionSet",
-    "DET",
-    "Decision",
-    "DiameterTermination",
-    "MN",
-    "MaxNoise",
-    "MaxStepsTermination",
-    "NelderMead",
-    "OptimizationResult",
-    "PC",
-    "NoisyPSO",
-    "PCMN",
-    "PCMaxNoise",
-    "PointComparison",
-    "Proposal",
-    "Simplex",
-    "SimplexOptimizer",
-    "TELL_APPLIED",
-    "TELL_DUPLICATE",
-    "TELL_EXTRA",
-    "TELL_STALE",
-    "StepRecord",
-    "TerminationCriterion",
-    "ToleranceTermination",
-    "Trace",
-    "WalltimeTermination",
-    "collapse_point",
-    "compare",
-    "contract_point",
-    "default_termination",
-    "diameter",
-    "expand_point",
-    "make_optimizer",
-    "optimize",
-    "pso_polish",
-    "resume",
-    "save_checkpoint",
-    "snapshot",
-    "reflect_point",
-]
+# Lazy, so a campaign worker (which needs `make_optimizer` and the five
+# optimizers) skips checkpointing and the PSO polish.
+_EXPORTS = {
+    "repro.core.anderson": (
+        "AndersonSimplex",
+        "AndersonStructureSearch",
+    ),
+    "repro.core.base": (
+        "TELL_APPLIED",
+        "TELL_DUPLICATE",
+        "TELL_EXTRA",
+        "TELL_STALE",
+        "Proposal",
+        "SimplexOptimizer",
+    ),
+    "repro.core.checkpoint": (
+        "resume",
+        "save_checkpoint",
+        "snapshot",
+    ),
+    "repro.core.comparisons": (
+        "ComparisonStats",
+        "ConditionSet",
+        "Decision",
+        "compare",
+    ),
+    "repro.core.driver": (
+        "ALGORITHMS",
+        "make_optimizer",
+        "optimize",
+    ),
+    "repro.core.maxnoise": (
+        "MN",
+        "MaxNoise",
+    ),
+    "repro.core.nelder_mead": (
+        "DET",
+        "NelderMead",
+    ),
+    "repro.core.pc_maxnoise": (
+        "PCMN",
+        "PCMaxNoise",
+    ),
+    "repro.core.point_compare": (
+        "PC",
+        "PointComparison",
+    ),
+    "repro.core.pso": (
+        "NoisyPSO",
+        "pso_polish",
+    ),
+    "repro.core.simplex": (
+        "Simplex",
+        "collapse_point",
+        "contract_point",
+        "diameter",
+        "expand_point",
+        "reflect_point",
+    ),
+    "repro.core.state": (
+        "OptimizationResult",
+        "StepRecord",
+        "Trace",
+    ),
+    "repro.core.termination": (
+        "CompositeTermination",
+        "DiameterTermination",
+        "MaxStepsTermination",
+        "TerminationCriterion",
+        "ToleranceTermination",
+        "WalltimeTermination",
+        "default_termination",
+    ),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+
+__all__ = [name for names in _EXPORTS.values() for name in names]

@@ -28,53 +28,56 @@ master, which "has the ability to direct a cessation of work at one point in
 parameter space and the initiation of new simulations at a different point".
 """
 
-from repro.mw.codec import pack, unpack
-from repro.mw.messages import (
-    MSG_ERROR,
-    MSG_RESULT,
-    MSG_SHUTDOWN,
-    MSG_TASK,
-    Message,
-    decode_message,
-    encode_message,
-)
-from repro.mw.task import MWTask, TaskState
-from repro.mw.worker import MWWorker, WorkerContext
-from repro.mw.transport import (
-    InprocTransport,
-    ThreadedTransport,
-    Transport,
-    make_transport,
-)
-from repro.mw.tcp import ProcessTransport
-from repro.mw.driver import MWDriver
-from repro.mw.vertex_pool import MWVertexPool, VertexSampler
-from repro.mw.fileio import FileIOChannel
-from repro.mw.vertex_server import SimulationClient, VertexServer
+from repro._lazy import lazy_exports as _lazy_exports
 
-__all__ = [
-    "FileIOChannel",
-    "InprocTransport",
-    "MSG_ERROR",
-    "MSG_RESULT",
-    "MSG_SHUTDOWN",
-    "MSG_TASK",
-    "MWDriver",
-    "MWTask",
-    "MWVertexPool",
-    "MWWorker",
-    "Message",
-    "ProcessTransport",
-    "SimulationClient",
-    "TaskState",
-    "ThreadedTransport",
-    "Transport",
-    "VertexSampler",
-    "VertexServer",
-    "WorkerContext",
-    "decode_message",
-    "encode_message",
-    "make_transport",
-    "pack",
-    "unpack",
-]
+# Lazy, so an `mw-worker` (which needs `.tcp` and its worker loop)
+# imports neither the driver nor the vertex pool and file-I/O layers.
+_EXPORTS = {
+    "repro.mw.codec": (
+        "pack",
+        "unpack",
+    ),
+    "repro.mw.messages": (
+        "MSG_ERROR",
+        "MSG_RESULT",
+        "MSG_SHUTDOWN",
+        "MSG_TASK",
+        "Message",
+        "decode_message",
+        "encode_message",
+    ),
+    "repro.mw.task": (
+        "MWTask",
+        "TaskState",
+    ),
+    "repro.mw.worker": (
+        "MWWorker",
+        "WorkerContext",
+    ),
+    "repro.mw.transport": (
+        "InprocTransport",
+        "ThreadedTransport",
+        "Transport",
+        "make_transport",
+    ),
+    "repro.mw.tcp": (
+        "ProcessTransport",
+    ),
+    "repro.mw.driver": (
+        "MWDriver",
+    ),
+    "repro.mw.vertex_pool": (
+        "MWVertexPool",
+        "VertexSampler",
+    ),
+    "repro.mw.fileio": (
+        "FileIOChannel",
+    ),
+    "repro.mw.vertex_server": (
+        "SimulationClient",
+        "VertexServer",
+    ),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+
+__all__ = [name for names in _EXPORTS.values() for name in names]

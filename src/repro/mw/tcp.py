@@ -42,6 +42,10 @@ from collections import deque
 from typing import Any, Deque, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
+# numpy imports its random module on first use.  A worker builds its
+# rank's generator as soon as it is welcomed, so load that before the
+# hello rather than inside the first task's time.
+import numpy.random  # noqa: F401
 
 from repro.mw.messages import (
     MSG_HEARTBEAT,
