@@ -2,8 +2,8 @@
 
 The layer between one ``optimize()`` call and a paper-scale study:
 a declarative :class:`CampaignSpec` expands into :class:`Job` records with
-stable ids, a :class:`CampaignRunner` executes the pending ones inline
-(``backend="serial"``) or distributes them through the
+stable ids, a :class:`CampaignRunner` executes the pending ones one at a
+time in its own process (``backend="serial"``) or distributes them through the
 :class:`~repro.mw.MWDriver` master-worker layer (``backend="mw"``), a
 :class:`ResultStore` records each outcome append-only (so interrupted
 campaigns resume instead of restarting), and the aggregation helpers
@@ -11,7 +11,7 @@ reduce the store back to the paper's per-cell and paired statistics.
 
 Any number of runner processes or hosts cooperatively drain one campaign
 directory: claim **leases** in the store (:meth:`ResultStore.claim`,
-granted under the store lock, renewed on a heartbeat, expiring when a
+granted under the store lock, renewed by the runner's loop, expiring when a
 runner is killed) guarantee each job is executed exactly once.  The
 store itself is a pluggable **engine** behind the
 :class:`~repro.campaign.backends.base.StoreBackend` contract

@@ -338,5 +338,9 @@ class StoreBackend(abc.ABC):
     def compact(self, now: Optional[float] = None) -> CompactionStats:
         """Drop duplicate records and stale lease state; returns the stats."""
 
+    def close(self) -> None:
+        """Release the engine's connections; a no-op for engines that hold
+        none between calls (JSONL).  Idempotent."""
+
     def __len__(self) -> int:
         return len(self.records())

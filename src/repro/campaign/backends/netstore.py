@@ -33,8 +33,8 @@ Wire-level design points:
   within a small factor of the local engine it fronts.
 * **Piggybacked renewal.**  A ``record_many`` frame carries the ids of
   the leases its runner still holds; the server renews them in the same
-  request, so the result-append hot path doubles as a heartbeat and the
-  renewal thread has one fewer round trip to race against.
+  request, so the result-append hot path doubles as a renewal and the
+  loop's renewal timer has one fewer round trip to make in time.
 * **Incremental reads.**  ``records`` requests carry the client's last
   mutation stamp; a stamp-capable backend
   (:meth:`~repro.campaign.backends.sqlite.SQLiteStoreBackend.records_since`)
@@ -55,8 +55,8 @@ Wire-level design points:
 Errors the server reports (e.g. a malformed record) are re-raised
 client-side by kind — ``ValueError`` stays ``ValueError`` — while
 transport failures surface as :class:`NetworkStoreError`, an ``OSError``
-subclass, so every existing ``except OSError`` retry path (the lease
-heartbeat, quiet release on interrupt) treats a dead store server like
+subclass, so every existing ``except OSError`` retry path (lease
+renewal, quiet release on interrupt) treats a dead store server like
 a transient filesystem hiccup.
 """
 
@@ -116,7 +116,7 @@ class NetworkStoreError(OSError):
     """A store request failed at the transport or protocol level.
 
     An ``OSError`` on purpose: the campaign layer already treats store
-    ``OSError`` as "transient, retry or shrug" (heartbeat skips a beat,
+    ``OSError`` as "transient, retry or shrug" (renewal skips a beat,
     interrupt-path release is best-effort), and a briefly unreachable
     store server deserves exactly that handling.
     """
@@ -439,9 +439,9 @@ class StoreServer:
 class NetworkStoreBackend(StoreBackend):
     """The :class:`StoreBackend` contract over a ``store://`` connection.
 
-    One socket, one request in flight at a time (an internal lock makes
-    the instance safe to share between the runner thread and its lease
-    heartbeat).  Separate instances — like the fresh stores each
+    One socket, one request in flight at a time, used from one thread
+    (the dispatch loop makes every store call of a run, renewals
+    included).  Separate instances — like the fresh stores each
     cooperating runner process opens — get their own connections.
 
     Parameters
@@ -472,7 +472,6 @@ class NetworkStoreBackend(StoreBackend):
         self.url = url
         self.connect_timeout = float(connect_timeout)
         self.reconnect_timeout = float(reconnect_timeout)
-        self._lock = threading.RLock()
         self._sock: Optional[socket.socket] = None
         self._ever_connected = False
         # Incremental-read cache, mirroring the SQLite engine's: id-keyed
@@ -581,30 +580,33 @@ class NetworkStoreBackend(StoreBackend):
         fields depend on reconnect-reset client state (the ``records``
         mutation stamp) contribute fresh values to the retried frame.
         """
-        with self._lock:
-            last_error: Optional[Exception] = None
-            for attempt in range(2):
-                try:
-                    sock = self._sock if self._sock is not None else self._connect()
-                    request = dict(fields, op=op)
-                    if _request_fn is not None:
-                        request.update(_request_fn())
-                    return self._roundtrip(sock, request)
-                # CodecError subclasses ValueError, so the transport clause
-                # must come first; a bare ValueError is an application error
-                # relayed by the server — the connection is fine, propagate.
-                except (OSError, CodecError) as exc:
-                    self._drop_sock()
-                    last_error = exc
-            raise NetworkStoreError(
-                f"store request {op!r} to {self.url} failed after reconnect: "
-                f"{last_error}"
-            ) from last_error
+        last_error: Optional[Exception] = None
+        for attempt in range(2):
+            try:
+                sock = self._sock if self._sock is not None else self._connect()
+                request = dict(fields, op=op)
+                if _request_fn is not None:
+                    request.update(_request_fn())
+                return self._roundtrip(sock, request)
+            # CodecError subclasses ValueError, so the transport clause
+            # must come first; a bare ValueError is an application error
+            # relayed by the server — the connection is fine, propagate.
+            except (OSError, CodecError) as exc:
+                self._drop_sock()
+                last_error = exc
+            except ValueError:
+                raise
+            except BaseException:  # an interrupt left a reply unread: drop it
+                self._drop_sock()
+                raise
+        raise NetworkStoreError(
+            f"store request {op!r} to {self.url} failed after reconnect: "
+            f"{last_error}"
+        ) from last_error
 
     def close(self) -> None:
         """Drop the connection; the next call would reconnect."""
-        with self._lock:
-            self._drop_sock()
+        self._drop_sock()
 
     # -- writing -----------------------------------------------------------
 
@@ -627,22 +629,21 @@ class NetworkStoreBackend(StoreBackend):
         before it crosses the wire.  The frame renews whatever leases
         this client still holds beyond the batch being fulfilled — on
         the append hot path the store hears from the runner constantly,
-        shrinking the window a slow heartbeat leaves open.
+        shrinking the window a slow renewal leaves open.
         """
         records = self._validate(records)
         if not records:
             return
-        with self._lock:
-            renew = None
-            recorded = {rec["job_id"] for rec in records}
-            keep = [jid for jid in self._held if jid not in recorded]
-            if keep and self._held_runner is not None:
-                renew = {"job_ids": keep, "runner": self._held_runner,
-                         "ttl": self._held_ttl}
-            with self._timed("append"):
-                self._call("record_many", records=records, renew=renew)
-            for jid in recorded:
-                self._held.pop(jid, None)
+        renew = None
+        recorded = {rec["job_id"] for rec in records}
+        keep = [jid for jid in self._held if jid not in recorded]
+        if keep and self._held_runner is not None:
+            renew = {"job_ids": keep, "runner": self._held_runner,
+                     "ttl": self._held_ttl}
+        with self._timed("append"):
+            self._call("record_many", records=records, renew=renew)
+        for jid in recorded:
+            self._held.pop(jid, None)
 
     # -- leases ------------------------------------------------------------
 
@@ -654,21 +655,20 @@ class NetworkStoreBackend(StoreBackend):
         now: Optional[float] = None,
     ) -> List[str]:
         """Claim a batch in one frame; see :meth:`StoreBackend.claim`."""
-        with self._lock:
-            with self._timed("claim"):
-                reply = self._call(
-                    "claim", job_ids=list(job_ids), runner=runner,
-                    ttl=float(ttl), now=now,
-                )
-            granted = list(reply["granted"])
-            if runner != self._held_runner:
-                # One client serves one runner identity at a time; a new
-                # identity supersedes the old resume set.
-                self._held = {}
-                self._held_runner = runner
-            self._held_ttl = float(ttl)
-            self._held.update(dict.fromkeys(granted))
-            return granted
+        with self._timed("claim"):
+            reply = self._call(
+                "claim", job_ids=list(job_ids), runner=runner,
+                ttl=float(ttl), now=now,
+            )
+        granted = list(reply["granted"])
+        if runner != self._held_runner:
+            # One client serves one runner identity at a time; a new
+            # identity supersedes the old resume set.
+            self._held = {}
+            self._held_runner = runner
+        self._held_ttl = float(ttl)
+        self._held.update(dict.fromkeys(granted))
+        return granted
 
     def renew(
         self,
@@ -678,25 +678,23 @@ class NetworkStoreBackend(StoreBackend):
         now: Optional[float] = None,
     ) -> List[str]:
         """Renew a batch in one frame; see :meth:`StoreBackend.renew`."""
-        with self._lock:
-            reply = self._call(
-                "renew", job_ids=list(job_ids), runner=runner,
-                ttl=float(ttl), now=now,
-            )
-            held = list(reply["held"])
-            if runner == self._held_runner:
-                self._held_ttl = float(ttl)
-                for jid in job_ids:
-                    if jid not in held:
-                        self._held.pop(jid, None)  # lost to a peer or fulfilled
-            return held
+        reply = self._call(
+            "renew", job_ids=list(job_ids), runner=runner,
+            ttl=float(ttl), now=now,
+        )
+        held = list(reply["held"])
+        if runner == self._held_runner:
+            self._held_ttl = float(ttl)
+            for jid in job_ids:
+                if jid not in held:
+                    self._held.pop(jid, None)  # lost to a peer or fulfilled
+        return held
 
     def release(self, job_ids: Sequence[str], runner: str) -> None:
         """Release claims in one frame; see :meth:`StoreBackend.release`."""
-        with self._lock:
-            self._call("release", job_ids=list(job_ids), runner=runner)
-            for jid in job_ids:
-                self._held.pop(jid, None)
+        self._call("release", job_ids=list(job_ids), runner=runner)
+        for jid in job_ids:
+            self._held.pop(jid, None)
 
     def leases(self, now: Optional[float] = None) -> Dict[str, Lease]:
         """Live leases by job id, fetched in one frame."""
@@ -716,19 +714,18 @@ class NetworkStoreBackend(StoreBackend):
         cache exactly as the SQLite engine folds its own reads.  A
         ``full`` response (stampless backing engine) replaces the cache.
         """
-        with self._lock:
-            reply = self._call(
-                "records", _request_fn=lambda: {"since": self._stamp}
-            )
-            rows = reply["records"]
-            if reply.get("full"):
-                self._by_id = {rec["job_id"]: rec for rec in rows}
-                self._stamp = 0
-            else:
-                for rec in rows:
-                    self._by_id[rec["job_id"]] = rec
-                self._stamp = int(reply["stamp"])
-            return [copy.deepcopy(r) for r in self._by_id.values()]
+        reply = self._call(
+            "records", _request_fn=lambda: {"since": self._stamp}
+        )
+        rows = reply["records"]
+        if reply.get("full"):
+            self._by_id = {rec["job_id"]: rec for rec in rows}
+            self._stamp = 0
+        else:
+            for rec in rows:
+                self._by_id[rec["job_id"]] = rec
+            self._stamp = int(reply["stamp"])
+        return [copy.deepcopy(r) for r in self._by_id.values()]
 
     def completed_ids(self) -> Set[str]:
         """Ids of done jobs, computed server-side (no record shipping)."""

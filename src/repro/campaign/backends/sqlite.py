@@ -35,9 +35,9 @@ Design points:
   only rows stamped after its previous read into an id-keyed cache, so
   polling a big store costs the delta, not the table.
 * **Thread and fork hygiene** — connections are per-thread and
-  per-process (a forked worker or a heartbeat thread silently gets its
-  own), so the runner's renewal thread and a forked mw worker can never
-  share a connection.
+  per-process (a forked worker or another thread, such as an in-process
+  :class:`~repro.campaign.backends.netstore.StoreServer`, silently gets
+  its own), so no two of them ever share a connection.
 
 Record payloads are stored as canonical (sorted-key) JSON text — the
 byte-for-byte line format of the JSONL engine — which is what makes
@@ -146,9 +146,9 @@ class SQLiteStoreBackend(StoreBackend):
         self._by_id: Dict[str, dict] = {}
         self._mut = 0
         self._cache_lock = threading.Lock()
-        # Every connection this process has opened (worker threads, the
-        # lease heartbeat), keyed to the pid that opened it so close()
-        # never touches a forked parent's handles through inherited state.
+        # Every connection this process has opened (one per thread), keyed
+        # to the pid that opened it so close() never touches a forked
+        # parent's handles through inherited state.
         self._conns_lock = threading.Lock()
         self._conns: Dict[sqlite3.Connection, int] = {}
         # executescript commits as it goes; IF NOT EXISTS makes concurrent
@@ -161,9 +161,8 @@ class SQLiteStoreBackend(StoreBackend):
         """This thread's connection, reopened after a fork.
 
         SQLite connections must not be shared across threads or carried
-        across ``fork()``; keying on (thread, pid) means the lease
-        heartbeat thread and any forked pool worker transparently get
-        their own.
+        across ``fork()``; keying on (thread, pid) means any other
+        thread and any forked pool worker transparently get their own.
         """
         conn = getattr(self._local, "conn", None)
         if conn is None or self._local.pid != os.getpid():
@@ -219,12 +218,10 @@ class SQLiteStoreBackend(StoreBackend):
     def close(self) -> None:
         """Close every connection this process opened, whatever the thread.
 
-        Worker and heartbeat threads each open their own connection
-        through :meth:`_conn`; closing only the calling thread's would
-        leak the rest (and their WAL read marks) until process exit.
-        Callers must quiesce those threads first — the runner joins its
-        heartbeat before teardown — since a closed connection raises on
-        use.  Connections a forked parent opened are skipped (the child
+        Every thread opens its own connection through :meth:`_conn`;
+        closing only the calling thread's would leak the rest (and their
+        WAL read marks) until process exit.  Callers must quiesce those
+        threads first, since a closed connection raises on use.  Connections a forked parent opened are skipped (the child
         inherits the tracking dict, not usable handles).
         """
         with self._conns_lock:

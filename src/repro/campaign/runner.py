@@ -5,15 +5,16 @@ subtracts the jobs its result store already holds (resume), and drains
 the rest through :class:`_DispatchLoop` — the one claim → dispatch →
 record loop, which ``campaign serve``
 (:class:`~repro.campaign.scheduler.MultiCampaignMaster`) runs over many
-campaigns and ``campaign run`` over one.  Its work units are jobs run
-inline (``serial``), whole jobs as :class:`~repro.mw.MWDriver` tasks
-(``mw``; crashed workers requeue their tasks), or ask/tell sources
-sharing one :class:`~repro.core.async_driver.AsyncEvalDriver` (``mw``
-with ``async_mode``).
+campaigns and ``campaign run`` over one.  Its work units are whole jobs
+as :class:`~repro.mw.MWDriver` tasks (``mw``; crashed workers requeue
+their tasks — ``serial`` is this kind on a one-rank ``threaded`` fleet),
+or ask/tell sources sharing one
+:class:`~repro.core.async_driver.AsyncEvalDriver` (``mw`` with
+``async_mode``).
 
 Every job is **claimed** in the store before it runs, so exactly one
 runner executes it however many processes or hosts drain the campaign.
-Claims roll as jobs finish, one heartbeat thread renews them all, a
+Claims roll as jobs finish, a timer of the loop renews them all, a
 graceful interrupt records what finished and releases the rest, and a
 hard-killed runner's claims expire for any peer to reclaim.
 ``KeyboardInterrupt`` returns a report instead of unwinding, so the
@@ -30,7 +31,6 @@ from __future__ import annotations
 import logging
 import os
 import socket
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -78,7 +78,7 @@ MW_TRANSPORTS = TRANSPORT_NAMES
 #: latency, and it must absorb cross-host clock skew and GC/IO pauses.
 DEFAULT_LEASE_TTL = 60.0
 
-#: Seconds between ``workers`` telemetry events while an async pass runs.
+#: Seconds between ``workers`` telemetry events while a pass runs.
 WORKERS_EVENT_INTERVAL = 2.0
 
 ProgressCallback = Callable[[ProgressSnapshot], None]
@@ -100,6 +100,12 @@ def validate_mw_transport(spec: str) -> None:
             f"mw_transport must be one of {TRANSPORT_NAMES} or a "
             f"tcp://host:port URL, got {spec!r}"
         )
+
+
+def _serial_job_executor(job: Job, context) -> dict:
+    """The ``serial`` fleet's executor: the :class:`Job` itself arrives (no
+    codec), and :func:`run_job` is looked up here at call time."""
+    return run_job(job)
 
 
 @dataclass
@@ -131,65 +137,6 @@ class CampaignReport:
         )
 
 
-class _LeaseHeartbeat:
-    """Background renewal of a runner's live claims.
-
-    A serial job blocks the loop's thread while it runs, so renewal comes
-    from a daemon thread: every ``ttl / 3`` seconds it calls ``renew()``,
-    which extends whatever claims the runner holds at that beat.  The
-    sleep deducts the renew round trip, so a slow or remote store cannot
-    stretch the beat period toward the ttl.  A failed renewal is retried
-    immediately; a beat that fails both attempts is skipped — the next
-    beat retries, and at worst a lease lapses and a peer duplicates a job
-    (wasteful, never wrong) — but it is surfaced in
-    ``repro_lease_renew_failures_total`` and a warning log.
-    """
-
-    def __init__(self, renew: Callable[[], None], ttl: float,
-                 telemetry=None) -> None:
-        self._renew = renew
-        self._ttl = float(ttl)
-        if telemetry is None:
-            telemetry = Telemetry.from_env()
-        self._failures = telemetry.counter(
-            "repro_lease_renew_failures_total",
-            "Lease heartbeat renewals that failed even after one retry.",
-        )
-        self.n_failures = 0
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._loop, name="lease-heartbeat", daemon=True
-        )
-        self._thread.start()
-
-    def _loop(self) -> None:
-        interval = max(self._ttl / 3.0, 0.05)
-        delay = interval
-        while not self._stop.wait(delay):
-            started = time.monotonic()
-            try:
-                try:
-                    self._renew()
-                except OSError:  # retry once: most store errors are blips
-                    self._renew()
-            except OSError as exc:
-                self.n_failures += 1
-                self._failures.inc()
-                _log.warning(
-                    "lease renewal failed twice (%d failed beats so far; "
-                    "lease ttl %.0fs): %s", self.n_failures, self._ttl, exc,
-                )
-            # Deduct the time renewing took so beats stay ~ttl/3 apart
-            # wall-clock; floor keeps a pathologically slow store from
-            # turning the loop into a busy spin.
-            delay = max(interval - (time.monotonic() - started), 0.05)
-
-    def stop(self) -> None:
-        """Stop renewing and wait for the thread."""
-        self._stop.set()
-        self._thread.join()
-
-
 class _Tenant:
     """One campaign's state inside a :class:`_DispatchLoop`."""
 
@@ -204,8 +151,9 @@ class _Tenant:
         self.campaign = campaign
         self.reset()
 
-    def reset(self) -> None:
-        """Start a fresh run: zero counts, no backlog, claims or buffers."""
+    def reset(self, now: float = 0.0) -> None:
+        """Start a fresh run at loop-clock time ``now``: zero counts, no
+        backlog, claims or buffers."""
         self.counts = {"done": 0, "failed": 0, "shed": 0, "leased": 0}
         self.n_total = len(self.jobs)
         self.n_skipped = 0
@@ -215,7 +163,7 @@ class _Tenant:
         self.finished: List[dict] = []    # records waiting for the next flush
         self.open = 0                     # async jobs claimed and unfinished
         self.flush_at = 0                 # async: flush + refill at this many open
-        self.last_flush = time.monotonic()
+        self.last_flush = now
 
     def report(self, interrupted: bool = False) -> CampaignReport:
         """This tenant's :class:`CampaignReport` for the current run."""
@@ -242,18 +190,16 @@ class _DispatchLoop:
     nothing, so claims that expired mid-run are picked up by the same
     call, while a job that failed here waits for the next run.  Jobs are
     claimed per tenant in rolling batches of at most ``batch_size`` and
-    dispatched as one work-unit kind:
+    dispatched as one of two work-unit kinds:
 
-    ``serial``
-        Claimed jobs run inline, drawn through the scheduler; a beat's
-        records land together, so an interrupt mid-beat loses only that
-        beat's work (its claims are released).
     ``job``
         One mw task per job.  A tenant claims another batch when fewer
         than ``batch_size`` of its jobs are queued; the
         :class:`~repro.campaign.scheduler.CampaignScheduler` hands free
         worker slots out by deficit-weighted round-robin, and a finished
         task is recorded at the end of the pump beat it finishes in.
+        ``serial`` is this kind on a one-rank ``threaded`` fleet with one
+        job in flight: the job runs off the loop's thread.
     ``eval``
         One ask/tell :class:`EvalSource` per job and one
         :meth:`AsyncEvalDriver.run` call per pass.  A tenant keeps at most
@@ -263,18 +209,22 @@ class _DispatchLoop:
         beat.  In between, records coalesce (a flush costs milliseconds),
         and ``flush_interval`` bounds any wait.
 
-    One :class:`_LeaseHeartbeat` renews every tenant's claims; it shares
-    a lock with the loop's store calls, so no store is used from two
-    threads at once.  Whole-job units are placed by their spec's
-    ``constraints`` only where ``honor_constraints`` holds.  On any exit
-    finished records are flushed first, then every unrecorded claim is
-    released.  Options are those of :class:`CampaignRunner`; ``label``
-    names the backend in ``run_start``.
+    Every beat ends in :meth:`_chores`, the loop's timers on its one
+    :attr:`clock`: each tenant's claims renew every ``lease_ttl / 3``
+    from this thread, the only one that touches a store (on ``inproc``,
+    whose tasks run inside ``send``, between tasks, not during one).
+    Whole-job units are placed by their spec's ``constraints`` only
+    where ``honor_constraints`` holds.  On any exit finished records are
+    flushed first, then every unrecorded claim is released.  Options are
+    those of :class:`CampaignRunner`; ``label`` names the backend in
+    ``run_start``.
     """
 
     #: Match each job's ``constraints`` against worker capabilities
     #: (``campaign serve``, which has ``--worker-caps``).
     honor_constraints = True
+    #: Jobs ride the fleet as :class:`Job` objects (the ``serial`` backend).
+    serial = False
 
     def __init__(self, kind: str, *, label: str, batch_size: int,
                  lease_ttl: float, runner_id: str, telemetry: Telemetry,
@@ -312,7 +262,8 @@ class _DispatchLoop:
         self.tenants: Dict[str, _Tenant] = {}
         self.scheduler = self._fresh_scheduler()
         self.driver = None
-        self._lock = threading.Lock()
+        #: The one clock every loop timer reads (tests replace it).
+        self.clock: Callable[[], float] = time.monotonic
         self._inflight: Dict[int, Tuple[_Tenant, Job, object]] = {}  # mw tasks
         self._open: Dict[int, Tuple[_Tenant, Job, float, str]] = {}   # sources
 
@@ -344,14 +295,12 @@ class _DispatchLoop:
         and ``on_start`` receives the mw driver once its transport is
         live.  Reports are read from the tenants afterwards.
         """
-        t0 = time.monotonic()
         self._progress = progress
-        self._deadline = None if timeout is None else t0 + float(timeout)
         self._on_start = on_start
         self._poll = float(poll_interval)
         self.scheduler = self._fresh_scheduler()
+        t0 = self._start_timers(timeout)
         for tenant in self.tenants.values():
-            tenant.reset()
             done = tenant.store.completed_ids()
             tenant.n_skipped = sum(1 for job in tenant.jobs if job.job_id in done)
         budget = None if max_jobs is None else max(0, int(max_jobs))
@@ -367,8 +316,6 @@ class _DispatchLoop:
                 n_total=sum(t.n_total for t in self.tenants.values()),
                 n_skipped=sum(t.n_skipped for t in self.tenants.values()),
             )
-        heartbeat = _LeaseHeartbeat(self._renew_claims, self.lease_ttl,
-                                    telemetry=self.telemetry)
         interrupted = False
         try:
             while True:
@@ -388,7 +335,6 @@ class _DispatchLoop:
             self._salvage()
             raise
         finally:
-            heartbeat.stop()
             for tenant in self.tenants.values():
                 if tenant.claimed:
                     try:
@@ -408,10 +354,20 @@ class _DispatchLoop:
                     "run_end",
                     **{key: sum(t.counts[key] for t in self.tenants.values())
                        for key in ("done", "failed", "shed", "leased")},
-                    elapsed_s=time.monotonic() - t0,
+                    elapsed_s=self.clock() - t0,
                     interrupted=interrupted,
                 )
                 self.telemetry.write_metrics()
+
+    def _start_timers(self, timeout: Optional[float] = None) -> float:
+        """Reset every tenant and arm the loop's timers at the clock's
+        current reading, which is returned; ``timeout`` sets the deadline."""
+        now = self.clock()
+        self._deadline = None if timeout is None else now + float(timeout)
+        self._renewed_at = self._workers_at = now
+        for tenant in self.tenants.values():
+            tenant.reset(now)
+        return now
 
     def _fresh_scheduler(self):
         """A scheduler with every tenant registered and nothing queued."""
@@ -427,8 +383,7 @@ class _DispatchLoop:
         """One claim → dispatch → record pass; returns the jobs it recorded."""
         for tenant in self.tenants.values():
             tenant.counts["leased"] = 0  # re-observed every pass
-            with self._lock:
-                done = tenant.store.completed_ids()
+            done = tenant.store.completed_ids()
             pending = [job for job in tenant.jobs
                        if job.job_id not in done and job.job_id not in tenant.executed]
             tenant.backlog = deque(pending if budget is None else pending[:budget])
@@ -448,11 +403,11 @@ class _DispatchLoop:
         return sum(t.counts["done"] + t.counts["failed"] for t in self.tenants.values())
 
     def _start_driver(self) -> None:
-        """Build the mw driver before the first claim (serial needs none)."""
-        if self.kind == "serial" or self.driver is not None:
+        """Build the mw driver before the first claim."""
+        if self.driver is not None:
             return
         pending = [job for t in self.tenants.values() for job in t.backlog]
-        for job in pending:
+        for job in () if self.serial else pending:
             if not _is_plain_json(job.options):
                 raise ValueError(  # the codec would silently stringify them
                     f"job {job.label!r} has non-JSON options {job.options!r}; "
@@ -466,7 +421,8 @@ class _DispatchLoop:
             # stays whole, since a capped one would lose the highest ranks.
             n_workers = min(n_workers, len(pending))
         self.driver = MWDriver(
-            mw_eval_executor if self.kind == "eval" else mw_job_executor,
+            mw_eval_executor if self.kind == "eval"
+            else _serial_job_executor if self.serial else mw_job_executor,
             n_workers=max(1, int(n_workers)),
             backend=self.transport,
             max_retries=self.mw_max_retries,
@@ -477,29 +433,26 @@ class _DispatchLoop:
             ),
             telemetry=self.telemetry,
         )
-        self._workers_at = time.monotonic()
         if self._on_start is not None:
             self._on_start(self.driver)
 
-    # -- store calls (the heartbeat shares the lock) -------------------------
+    # -- store calls -----------------------------------------------------------
 
     def _renew_claims(self) -> None:
-        """Heartbeat beat: renew each tenant's claimed, unrecorded ids."""
-        with self._lock:
-            for tenant in self.tenants.values():
-                if tenant.claimed:
-                    tenant.store.renew(list(tenant.claimed), self.runner_id,
-                                       self.lease_ttl)
+        """Renew each tenant's claimed, unrecorded ids."""
+        for tenant in self.tenants.values():
+            if tenant.claimed:
+                tenant.store.renew(list(tenant.claimed), self.runner_id,
+                                   self.lease_ttl)
 
     def _claim(self, tenant: _Tenant, jobs: List[Job]) -> List[Job]:
         """Claim jobs in the tenant's store; return the granted ones.  The
         rest were completed by a peer (``shed``) or are leased to one."""
         ids = [job.job_id for job in jobs]
-        with self._lock:
-            with self.telemetry.span("claim", n_jobs=len(ids)):
-                granted = set(tenant.store.claim(ids, self.runner_id, self.lease_ttl))
-            tenant.claimed.update(granted)
-            done = tenant.store.completed_ids() if len(granted) != len(ids) else ()
+        with self.telemetry.span("claim", n_jobs=len(ids)):
+            granted = set(tenant.store.claim(ids, self.runner_id, self.lease_ttl))
+        tenant.claimed.update(granted)
+        done = tenant.store.completed_ids() if len(granted) != len(ids) else ()
         for job_id in ids:
             if job_id in granted:
                 continue
@@ -522,12 +475,11 @@ class _DispatchLoop:
         locked write / transaction in every engine)."""
         records, tenant.finished = tenant.finished, []
         ids = [rec["job_id"] for rec in records]
-        with self._lock:
-            with self.telemetry.span("record", n_jobs=len(records)):
-                tenant.store.record_many(records)
-            tenant.claimed.difference_update(ids)
+        with self.telemetry.span("record", n_jobs=len(records)):
+            tenant.store.record_many(records)
+        tenant.claimed.difference_update(ids)
         tenant.executed.update(ids)
-        tenant.last_flush = time.monotonic()
+        tenant.last_flush = self.clock()
         for rec in records:
             tenant.counts["done" if rec["status"] == STATUS_DONE else "failed"] += 1
             self.telemetry.counter(
@@ -562,7 +514,7 @@ class _DispatchLoop:
         except OSError:  # pragma: no cover - store gone mid-teardown
             pass
 
-    # -- whole-job units (serial and mw tasks) -------------------------------
+    # -- whole-job units (mw tasks) ----------------------------------------------
 
     def _job_pass(self) -> None:
         self._inflight = {}
@@ -572,11 +524,10 @@ class _DispatchLoop:
             for tenant in tenants:
                 self._top_up(tenant)
             self._fill_slots()
-            if self.driver is not None:
-                self.driver.pump(self._poll)
-                self._harvest()
+            self.driver.pump(self._poll)
+            self._harvest()
             self._flush_all()
-            self._check_deadline()
+            self._chores()
 
     def _top_up(self, tenant: _Tenant) -> None:
         """Claim another batch into the tenant's queue when it runs low."""
@@ -587,21 +538,7 @@ class _DispatchLoop:
                 self.scheduler.enqueue(tenant.name, job, priority=job.priority)
 
     def _fill_slots(self) -> None:
-        """Offer free slots to the scheduler; run or submit what it grants."""
-        if self.driver is None:
-            # serial: every queued job runs now, and the beat's records
-            # land together after the last one
-            records = []
-            while True:
-                selected = self.scheduler.select()
-                if selected is None:
-                    break
-                name, job = selected
-                records.append((self.tenants[name], run_job(job)))
-                self.scheduler.mark_complete(name)
-            for tenant, record in records:
-                tenant.finished.append(record)
-            return
+        """Offer free slots to the scheduler; submit what it grants."""
         driver = self.driver
         # One scheduler slot per free worker slot.  On a static fleet a
         # job no *live* worker can ever satisfy must not queue forever:
@@ -632,7 +569,8 @@ class _DispatchLoop:
             affinity = None
             if self.affinity:  # round-robin over ranks, in dispatch order
                 affinity = driver.n_submitted % driver.n_workers + 1
-            task = driver.submit(job.to_dict(), affinity=affinity, constraints=need)
+            task = driver.submit(job if self.serial else job.to_dict(),
+                                 affinity=affinity, constraints=need)
             self._inflight[task.task_id] = (self.tenants[name], job, task)
 
     def _needs(self, job: Job) -> frozenset:
@@ -691,8 +629,7 @@ class _DispatchLoop:
         tenant.flush_at = tenant.open // 2
 
     def _eval_beat(self, sources: list) -> None:
-        """Per-beat callback of the async driver: flush, refill, report."""
-        now = time.monotonic()
+        """Per-beat callback of the async driver: flush, refill, chores."""
         for tenant in self.tenants.values():
             if tenant.open <= tenant.flush_at and (tenant.finished or tenant.backlog):
                 if tenant.finished:
@@ -700,11 +637,7 @@ class _DispatchLoop:
                 # finished sources leave the driver's live list here
                 sources[:] = [src for src in sources if not src.finalized]
                 self._refill(tenant, sources)
-            elif tenant.finished and now - tenant.last_flush >= self.flush_interval:
-                self._record(tenant)
-        if now - self._workers_at >= WORKERS_EVENT_INTERVAL:
-            self._workers_event()
-        self._check_deadline()
+        self._chores()
 
     def _batch_work(self, items):
         return batch_proposal_work(
@@ -727,18 +660,54 @@ class _DispatchLoop:
 
     # -- shared beat chores --------------------------------------------------
 
-    def _workers_event(self) -> None:
-        """Per-rank utilization for ``campaign watch --cells``."""
-        self._workers_at = time.monotonic()
-        if self.telemetry.enabled and self.driver is not None:
-            self.telemetry.event("workers", workers=self.driver.utilization())
-
-    def _check_deadline(self) -> None:
-        if self._deadline is not None and time.monotonic() > self._deadline:
+    def _chores(self) -> None:
+        """The loop's timers, run at the end of every beat: renewal, the
+        ``flush_interval`` flush, the ``workers`` event, the deadline."""
+        now = self.clock()
+        if now - self._renewed_at >= self.lease_ttl / 3.0:
+            self._renew_due(now)
+        for tenant in self.tenants.values():
+            if tenant.finished and now - tenant.last_flush >= self.flush_interval:
+                self._record(tenant)
+        if now - self._workers_at >= WORKERS_EVENT_INTERVAL:
+            self._workers_event()
+        if self._deadline is not None and now > self._deadline:
             raise TimeoutError(
                 f"run timed out with {len(self._inflight) + len(self._open)} "
                 f"job(s) in flight and {self.scheduler.queued()} queued"
             )
+
+    def _renew_due(self, now: float) -> None:
+        """Renew every tenant's claims, timing the next renewal from this
+        one's start.  A failure is retried once; a renewal that fails twice
+        is counted and logged, and the next one tries again (at worst a
+        lease lapses and a peer duplicates a job: wasteful, never wrong)."""
+        late = now - self._renewed_at
+        self._renewed_at = now
+        if late > self.lease_ttl and any(t.claimed for t in self.tenants.values()):
+            _log.warning(
+                "lease renewal ran %.1fs after the previous one (lease ttl "
+                "%.1fs): claims may have lapsed to peers", late, self.lease_ttl,
+            )
+        try:
+            try:
+                self._renew_claims()
+            except OSError:  # retry once: most store errors are blips
+                self._renew_claims()
+        except OSError as exc:
+            self.telemetry.counter(
+                "repro_lease_renew_failures_total",
+                "Lease renewals that failed even after one retry.",
+            ).inc()
+            _log.warning("lease renewal failed twice (lease ttl %.1fs): %s",
+                         self.lease_ttl, exc)
+
+    def _workers_event(self) -> None:
+        """Per-rank utilization for ``campaign watch --cells`` (mw only:
+        the serial backend's one worker thread is not a fleet)."""
+        self._workers_at = self.clock()
+        if self.telemetry.enabled and self.driver is not None and not self.serial:
+            self.telemetry.event("workers", workers=self.driver.utilization())
 
 
 class CampaignRunner(_DispatchLoop):
@@ -756,15 +725,16 @@ class CampaignRunner(_DispatchLoop):
         shares (resume skip-set, claim-lease arbiter, append target) —
         any :class:`~repro.campaign.backends.base.StoreBackend`.
     backend:
-        ``serial`` (jobs run inline) or ``mw`` (:class:`~repro.mw.MWDriver`).
+        ``serial`` (one job at a time on a one-rank ``threaded`` fleet,
+        in this process) or ``mw`` (:class:`~repro.mw.MWDriver`).
     max_workers:
         mw worker count (default: CPU count; a whole-job fleet on a local
         transport never spawns more workers than pending jobs).
     batch_size:
-        Jobs per claim.  Serial records each claimed batch with one store
-        write (the resume granularity); mw keeps up to ``batch_size``
-        claimed jobs queued, async mode up to ``batch_size`` open.
-        Default: 1 for serial, else the worker count.
+        Jobs per claim.  Serial and mw keep up to ``batch_size`` claimed
+        jobs queued and record each job at the end of the beat it
+        finishes in (the resume granularity); async mode keeps up to
+        ``batch_size`` open.  Default: 1 for serial, else the worker count.
     mw_transport:
         ``inproc`` (deterministic, tests), ``threaded``, ``process`` (the
         default), or a ``tcp://host:port`` listen URL that standalone
@@ -824,22 +794,28 @@ class CampaignRunner(_DispatchLoop):
                 f"async mode drives evaluations through the mw layer; "
                 f"backend must be 'mw', got {backend!r}"
             )
+        validate_mw_transport(mw_transport)
+        serial = backend == "serial"
         if batch_size is None:
-            # serial: record after every job, the finest resume grain
-            batch_size = 1 if backend == "serial" else (max_workers or os.cpu_count() or 2)
+            # serial: claim one job at a time, the finest lease grain
+            batch_size = 1 if serial else (max_workers or os.cpu_count() or 2)
         super().__init__(
-            "serial" if backend == "serial" else ("eval" if async_mode else "job"),
+            "eval" if async_mode else "job",
             label=backend, batch_size=batch_size, lease_ttl=lease_ttl,
             runner_id=runner_id or default_runner_id(),
             telemetry=telemetry if telemetry is not None else Telemetry.from_env(),
-            transport=mw_transport, max_workers=max_workers,
-            mw_max_retries=mw_max_retries, affinity=mw_affinity,
+            transport="threaded" if serial else mw_transport,
+            max_workers=1 if serial else max_workers,
+            mw_max_retries=mw_max_retries, affinity=mw_affinity and not serial,
             max_inflight=max_inflight, eval_batch=eval_batch,
             flush_interval=flush_interval,
         )
+        self.serial = serial
         self.spec = spec
         self.store = store
-        self._tenant = self.add_tenant(spec, store, spec.expand())
+        # serial: one job in flight, so jobs run one after another
+        self._tenant = self.add_tenant(spec, store, spec.expand(),
+                                       max_inflight=1 if serial else None)
 
     def pending(self) -> List[Job]:
         """Grid jobs not yet completed in the store, in expansion order."""

@@ -333,7 +333,7 @@ class ResultStore(StoreBackend):
 
         The renewal ownership check: a lease that lapsed and was
         reclaimed by a peer (or fulfilled by a result) must not be
-        clobbered by a stalled runner's late heartbeat.
+        clobbered by a stalled runner's late renewal.
         """
         held = []
         for jid in job_ids:
@@ -360,9 +360,9 @@ class ResultStore(StoreBackend):
         Only leases the runner *still holds* are renewed (checked under
         the same exclusive lock as the append): if a lease lapsed —
         e.g. this runner stalled past the TTL — and a peer reclaimed
-        the job, the late heartbeat must not clobber the peer's claim.
-        Returns the ids actually renewed; the heartbeat path calls this
-        every ``ttl / 3`` seconds, and the cost is one incremental scan
+        the job, the late renewal must not clobber the peer's claim.
+        Returns the ids actually renewed; the runner's dispatch loop
+        calls this every ``ttl / 3`` seconds, and the cost is one incremental scan
         plus one append.
         """
         now = time.time() if now is None else float(now)

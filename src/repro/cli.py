@@ -475,15 +475,11 @@ def _cmd_campaign_store_serve(args: argparse.Namespace) -> int:
         print(f"error: cannot listen on {args.listen}: {exc}", file=sys.stderr)
         backend.close()
         return 2
-    # Parsed by scripts and tests (ephemeral --listen ports), so the
-    # address line goes first and is flushed immediately.
-    print(f"serving {args.directory} ({backend.engine}) at {server.address}",
-          flush=True)
-    print("press Ctrl-C to stop", flush=True)
     # Install our own INT/TERM handlers: a server backgrounded with `&`
     # from a non-interactive shell (the CI pattern) inherits SIGINT as
     # ignored, and SIGTERM is how process managers stop services — both
-    # must shut the listener down cleanly, not leak it.
+    # must shut the listener down cleanly, not leak it.  They go in
+    # before the address line, so a stop sent on seeing it is clean.
     import signal
 
     def _stop(signum, frame):
@@ -495,6 +491,11 @@ def _cmd_campaign_store_serve(args: argparse.Namespace) -> int:
         except (ValueError, OSError):  # pragma: no cover - exotic platforms
             pass
     try:
+        # Parsed by scripts and tests (ephemeral --listen ports), so the
+        # address line goes first and is flushed immediately.
+        print(f"serving {args.directory} ({backend.engine}) at {server.address}",
+              flush=True)
+        print("press Ctrl-C to stop", flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         pass

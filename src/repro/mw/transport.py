@@ -226,6 +226,14 @@ class ThreadedTransport(Transport):
         """Enqueue the message on the rank's inbox."""
         self._inboxes[rank].put(message)
 
+    def poll(self) -> List[TransportEvent]:
+        """Each worker thread an executor's ``SystemExit`` or
+        ``KeyboardInterrupt`` ended, reported once."""
+        dead = [rank for rank, t in self._threads.items() if not t.is_alive()]
+        for rank in dead:
+            del self._threads[rank]
+        return [(EVENT_DIED, rank) for rank in dead]
+
     def recv(self, timeout: Optional[float] = None) -> Optional[Message]:
         """Blocking pop from the shared outbox (``None`` on timeout)."""
         try:

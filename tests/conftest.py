@@ -41,6 +41,13 @@ else:
         hyp_settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 
+def pytest_configure(config):
+    """Register the suite's custom marks (unknown marks warn)."""
+    config.addinivalue_line(
+        "markers", "slow: a test that runs real MD (deselect with -m 'not slow')"
+    )
+
+
 @pytest.fixture(params=STORE_BACKENDS + ("netstore",))
 def store_backend(request, tmp_path, monkeypatch):
     """Factory of store instances, parametrized over every engine.

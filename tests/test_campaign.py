@@ -351,6 +351,24 @@ class TestRunner:
 
         assert results_by_id(interrupted) == results_by_id(reference)
 
+    def test_serial_run_keeps_rich_options(self):
+        """The serial fleet carries Job objects, not their JSON: a job
+        with a ConditionSet option records exactly what run_job gives."""
+        spec = small_spec(
+            algorithms=["DET", AlgorithmVariant("PC", {"conditions": ConditionSet.only(1)})]
+        )
+        store = ResultStore()
+        report = CampaignRunner(spec, store, backend="serial").run()
+        assert report.n_done == 6 and report.n_failed == 0
+
+        def untimed(record):
+            return {k: v for k, v in record.items()
+                    if k not in ("elapsed_s", "span_id", "run_id")}
+
+        assert {r["job_id"]: untimed(r) for r in store.records()} == {
+            job.job_id: untimed(run_job(job)) for job in spec.expand()
+        }
+
     def test_failed_jobs_are_retried_on_resume(self):
         spec = small_spec(
             overrides=[{"where": {"seed": 1, "label": "DET"}, "options": {"bogus": 1}}]

@@ -14,6 +14,7 @@ lease protocol's guarantees are the engine contract, not a JSONL
 implementation detail.
 """
 
+import _thread
 import json
 import os
 import signal
@@ -126,13 +127,21 @@ class TestInProcessRaces:
         assert store_backend().completed_ids() == expected
 
     def test_interrupt_releases_unfulfilled_claims(self, store_backend, monkeypatch):
-        """Ctrl-C mid-batch gives the batch's claims back immediately, so a
-        peer reclaims without waiting out the TTL."""
+        """Ctrl-C mid-run records the jobs that finished and gives every
+        other claim back immediately, so a peer reclaims without waiting
+        out the TTL.  The interrupt arrives the way Ctrl-C does: on the
+        main thread, while job 3 runs on the fleet's worker thread."""
         executed = []
+        peer_view = store_backend()
 
         def interrupting_run_job(job):
             if len(executed) == 2:
-                raise KeyboardInterrupt
+                _thread.interrupt_main()
+                # hold job 3 until the interrupted loop released its claim,
+                # so it can never be recorded
+                deadline = time.monotonic() + 30
+                while peer_view.leases() and time.monotonic() < deadline:
+                    time.sleep(0.01)
             executed.append(job.job_id)
             return synthetic_run_job(job)
 
@@ -142,9 +151,40 @@ class TestInProcessRaces:
         report = CampaignRunner(spec, store, batch_size=6, lease_ttl=3600).run()
         assert report.interrupted
         assert store.leases() == {}  # released, not left to expire
-        # a peer can claim the whole grid right now, hour-long TTL or not
-        ids = [j.job_id for j in spec.expand()]
-        assert store_backend().claim(ids, "peer", ttl=60) == ids
+        # the two jobs that finished before the interrupt are recorded
+        recorded = set(executed[:2])
+        assert report.n_done == 2
+        assert store_backend().completed_ids() == recorded
+        # a peer can claim the other four right now, hour-long TTL or not
+        rest = [j.job_id for j in spec.expand() if j.job_id not in recorded]
+        assert len(rest) == 4
+        assert store_backend().claim(rest, "peer", ttl=60) == rest
+
+    def test_serial_job_keeps_its_claim_while_it_runs(self, tmp_path, monkeypatch):
+        """The loop renews a serial job's claim while the job runs on the
+        fleet's worker thread: a peer's claim mid-job is refused, and the
+        job is executed and recorded once."""
+        spec = fast_spec(n_seeds=1, algorithms=["DET"])  # one job
+        peer = open_store(tmp_path)
+        calls = Counter()
+        peer_granted = []
+
+        def long_run_job(job):
+            calls[job.job_id] += 1
+            time.sleep(0.6)  # two ttls: unrenewed, the claim would have lapsed
+            peer_granted.append(peer.claim([job.job_id], "peer", ttl=60))
+            time.sleep(0.4)
+            return synthetic_run_job(job)
+
+        monkeypatch.setattr("repro.campaign.runner.run_job", long_run_job)
+        report = CampaignRunner(spec, open_store(tmp_path), lease_ttl=0.3).run()
+        assert report.n_done == 1
+        assert peer_granted == [[]]
+        assert list(calls.values()) == [1]
+        lines = [json.loads(line) for line in
+                 (tmp_path / "results.jsonl").read_text().splitlines()]
+        assert [rec["job_id"] for rec in lines
+                if rec["status"] in ("done", "failed")] == list(calls)
 
     def test_expired_peer_lease_requeued_within_one_run(self, store_backend):
         """A crashed peer's expired leases don't force a re-run: the same

@@ -275,11 +275,10 @@ class TestMultiCampaignMaster:
         assert reports["tenant-a"].n_done == 6
         assert reports["tenant-b"].n_done == 6
 
-    def test_one_heartbeat_thread_whatever_the_tenant_count(
-        self, tmp_path, monkeypatch
-    ):
-        """A 3-tenant serve renews every tenant's claims from as many
-        heartbeat threads as a 1-tenant serve."""
+    def test_no_thread_and_every_tenant_renewed(self, tmp_path, monkeypatch):
+        """A 3-tenant serve renews every tenant's claims from its own loop:
+        on inproc it starts no thread at all."""
+        import itertools
         import threading
 
         names = []
@@ -290,21 +289,26 @@ class TestMultiCampaignMaster:
             real_start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", start)
+        directories = []
+        for algorithm in ("DET", "PC", "MN"):
+            directory = tmp_path / algorithm
+            Campaign(directory, spec=tenant_spec(f"t-{algorithm}", algorithm))
+            directories.append(directory)
+        master = MultiCampaignMaster(directories, transport="inproc",
+                                     max_workers=2, telemetry=NULL)
+        renewed = Counter()
+        for name, tenant in master.tenants.items():
+            def renew(job_ids, runner, ttl, _name=name, _renew=tenant.store.renew):
+                renewed[_name] += len(job_ids)
+                return _renew(job_ids, runner, ttl)
 
-        def heartbeat_threads(algorithms):
-            names.clear()
-            directories = []
-            for algorithm in algorithms:
-                directory = tmp_path / f"{len(algorithms)}-{algorithm}"
-                Campaign(directory, spec=tenant_spec(f"t-{algorithm}", algorithm))
-                directories.append(directory)
-            master = MultiCampaignMaster(directories, transport="inproc",
-                                         max_workers=2, telemetry=NULL)
-            reports = master.serve(timeout=60)
-            assert all(report.n_done == 6 for report in reports.values())
-            return names.count("lease-heartbeat")
-
-        assert heartbeat_threads(["DET", "PC", "MN"]) == heartbeat_threads(["DET"])
+            tenant.store.renew = renew
+        # 20 s per clock read: a renewal (every 60 s / 3) is due each beat
+        master.clock = itertools.count(0.0, 20.0).__next__
+        reports = master.serve()
+        assert all(report.n_done == 6 for report in reports.values())
+        assert names == []
+        assert set(renewed) == set(master.tenants)
 
     def test_unknown_override_name_rejected(self, tmp_path):
         Campaign(tmp_path / "a", spec=tenant_spec("only", "DET"))

@@ -92,6 +92,27 @@ class TestInprocTransport:
         assert t.poll() == []
 
 
+def exit_on_two(work, ctx):
+    if work == 2:
+        raise SystemExit(1)  # escapes MWWorker.execute: kills the thread
+    return work
+
+
+class TestThreadedTransport:
+    # the worker thread's death is the scenario, not a stray failure
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_dead_worker_thread_fails_its_task(self):
+        with MWDriver(exit_on_two, n_workers=1, backend="threaded",
+                      max_retries=0) as driver:
+            ok = driver.submit(1)
+            driver.wait_all(timeout=10)
+            lost = driver.submit(2)
+            driver.wait_all(timeout=10)
+        assert ok.result == 1
+        assert lost.failed and lost.error == "worker died"
+        assert driver.transport.poll() == []  # reported once
+
+
 class TestProcessTransport:
     def test_dead_worker_reported_exactly_once(self):
         import os

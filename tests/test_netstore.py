@@ -33,7 +33,7 @@ from repro.campaign.backends import (
 from repro.campaign.backends import netstore
 from repro.campaign.backends.netstore import STORE_PROTOCOL_VERSION, is_store_url
 from repro.campaign.backends.sqlite import SQLiteStoreBackend
-from repro.campaign.runner import _LeaseHeartbeat
+from repro.campaign.runner import _DispatchLoop
 from repro.campaign.store import ResultStore
 from repro.telemetry import Telemetry
 from repro import wire
@@ -159,6 +159,25 @@ class TestWireParity:
             client._call("bogus")
         # the connection survived both application errors
         assert client.counts()["total"] == 0
+
+    def test_interrupt_between_send_and_reply_loses_no_reply(
+        self, served, monkeypatch
+    ):
+        """Ctrl-C landing after a request went out must not leave its reply
+        for the next request to read as its own."""
+        client = served()
+        client.claim(["a", "b"], "r1", ttl=30)
+
+        def interrupted(sock):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(netstore, "read_frame", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            client.leases()  # sent; its reply stays unread
+        monkeypatch.undo()
+        client.release(["a", "b"], "r1")
+        assert client.leases() == {}
+        assert client.completed_ids() == set()
 
     def test_record_many_piggybacks_renewal(self, served):
         client = served()
@@ -443,63 +462,86 @@ class _FlakyStore:
         return list(job_ids)
 
 
-class TestLeaseHeartbeat:
-    def wait_for(self, predicate, timeout=10.0):
-        deadline = time.monotonic() + timeout
-        while not predicate():
-            assert time.monotonic() < deadline, "condition never held"
-            time.sleep(0.01)
+class FakeClock:
+    """A loop clock the test advances by hand (exact binary steps)."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+
+class TestLeaseRenewalTimer:
+    """Claim renewal is a timer of the dispatch loop, driven here by a fake
+    clock: no thread, no sleeps."""
+
+    def renewal_loop(self, store, telemetry=None):
+        """A dispatch loop (lease ttl 3 s, so renewals every 1 s of the
+        fake clock) with one tenant holding claims ``a`` and ``b``."""
+        loop = _DispatchLoop("job", label="test", batch_size=1, lease_ttl=3.0,
+                             runner_id="r1", telemetry=telemetry or Telemetry.create())
+        loop.clock = clock = FakeClock()
+        tenant = loop.add_tenant(CampaignSpec(name="t", algorithms=["DET"]), store, [])
+        loop._start_timers()
+        tenant.claimed.update(["a", "b"])
+        return loop, clock
+
+    def beat_until(self, loop, clock, until, step=0.25):
+        """Run the loop's per-beat chores every ``step`` fake seconds."""
+        while clock.now < until:
+            clock.now += step
+            loop._chores()
 
     def test_single_failure_is_retried_not_counted(self):
         store = _FlakyStore(fail_first=1)
-        hb = _LeaseHeartbeat(lambda: store.renew(["a"], "r1", 0.3), ttl=0.3,
-                             telemetry=Telemetry.create())
-        try:
-            self.wait_for(lambda: store.calls >= 3)
-        finally:
-            hb.stop()
-        assert hb.n_failures == 0  # the immediate retry absorbed the blip
+        telemetry = Telemetry.create()
+        loop, clock = self.renewal_loop(store, telemetry)
+        self.beat_until(loop, clock, 3.0)  # renewals at 1, 2 and 3 s
+        assert store.calls == 4  # the first renewal's blip + its retry
+        counters = {c["name"]: c["value"]
+                    for c in telemetry.registry.snapshot()["counters"]}
+        assert counters.get("repro_lease_renew_failures_total", 0) == 0
 
     def test_double_failure_surfaces(self, caplog):
         store = _FlakyStore(fail_first=10 ** 9)
         telemetry = Telemetry.create()
+        loop, clock = self.renewal_loop(store, telemetry)
         with caplog.at_level("WARNING", logger="repro.campaign.runner"):
-            hb = _LeaseHeartbeat(lambda: store.renew(["a", "b"], "r1", 0.3),
-                                 ttl=0.3, telemetry=telemetry)
-            try:
-                self.wait_for(lambda: hb.n_failures >= 2)
-            finally:
-                hb.stop()
-        counters = {
-            c["name"]: c["value"]
-            for c in telemetry.registry.snapshot()["counters"]
-        }
-        assert counters["repro_lease_renew_failures_total"] >= 2
-        assert any("lease renewal" in r.message for r in caplog.records)
-        # each failed beat made exactly two attempts (original + retry)
-        assert store.calls >= 2 * hb.n_failures
+            self.beat_until(loop, clock, 2.0)  # renewals at 1 and 2 s
+        counters = {c["name"]: c["value"]
+                    for c in telemetry.registry.snapshot()["counters"]}
+        assert counters["repro_lease_renew_failures_total"] == 2
+        assert sum("lease renewal failed twice" in r.message
+                   for r in caplog.records) == 2
+        # each failed renewal made exactly two attempts (original + retry)
+        assert store.calls == 4
 
-    def test_beat_period_deducts_renew_latency(self):
+    def test_slow_renew_does_not_push_renewals_apart(self):
         class SlowStore:
             def __init__(self):
                 self.times = []
 
             def renew(self, job_ids, runner, ttl):
-                self.times.append(time.monotonic())
-                time.sleep(0.1)  # renew latency ~= the beat interval
+                self.times.append(clock.now)
+                clock.now += 0.75  # renew latency = 3/4 of the interval
                 return list(job_ids)
 
         store = SlowStore()
-        hb = _LeaseHeartbeat(lambda: store.renew(["a"], "r1", 0.45),
-                             ttl=0.45)  # interval 0.15
-        try:
-            self.wait_for(lambda: len(store.times) >= 4)
-        finally:
-            hb.stop()
-        # With the fixed ttl/3 sleep the gap would be ~0.25 s (sleep +
-        # latency); deducting latency keeps beats ~one interval apart.
-        gaps = [b - a for a, b in zip(store.times, store.times[1:])]
-        assert sum(gaps) / len(gaps) < 0.22
+        loop, clock = self.renewal_loop(store)
+        self.beat_until(loop, clock, 6.0)
+        # timed from each renewal's start, they stay one interval apart;
+        # timed from its end they would drift to 2 s apart here
+        assert store.times == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+
+    def test_late_renewal_warns_of_lapse(self, caplog):
+        store = _FlakyStore(fail_first=0)
+        loop, clock = self.renewal_loop(store)
+        clock.now = 3.5  # a beat that came more than one ttl late
+        with caplog.at_level("WARNING", logger="repro.campaign.runner"):
+            loop._chores()
+        assert store.calls == 1
+        assert any("may have lapsed" in r.message for r in caplog.records)
 
 
 class TestStoreServeCLI:
@@ -562,6 +604,14 @@ class TestStoreServeCLI:
         store = open_store(store_dir, engine="sqlite")
         assert store.completed_ids() == set(expected)
         store.close()
+
+    def test_jsonl_store_serve_stops_cleanly_on_sigterm(self, tmp_path):
+        """Every engine closes on stop, the connection-free jsonl one too."""
+        proc = self.serve(tmp_path / "data", free_port(), "--store", "jsonl")
+        proc.send_signal(signal.SIGTERM)
+        out, _ = proc.communicate(timeout=30)
+        assert proc.returncode == 0, out
+        assert "Traceback" not in out
 
     def test_store_serve_refuses_network_engine(self, tmp_path):
         proc = subprocess.run(
