@@ -194,7 +194,8 @@ class _DispatchLoop:
 
     ``job``
         One mw task per job.  A tenant claims another batch when fewer
-        than ``batch_size`` of its jobs are queued; the
+        of its jobs are queued than the fleet has task slots (at most
+        ``batch_size``), so a lease is held briefly before dispatch; the
         :class:`~repro.campaign.scheduler.CampaignScheduler` hands free
         worker slots out by deficit-weighted round-robin, and a finished
         task is recorded at the end of the pump beat it finishes in.
@@ -300,9 +301,12 @@ class _DispatchLoop:
         self._poll = float(poll_interval)
         self.scheduler = self._fresh_scheduler()
         t0 = self._start_timers(timeout)
-        for tenant in self.tenants.values():
-            done = tenant.store.completed_ids()
-            tenant.n_skipped = sum(1 for job in tenant.jobs if job.job_id in done)
+        # the first pass reuses these reads: one round trip per tenant
+        completed = {name: tenant.store.completed_ids()
+                     for name, tenant in self.tenants.items()}
+        for name, tenant in self.tenants.items():
+            tenant.n_skipped = sum(1 for job in tenant.jobs
+                                   if job.job_id in completed[name])
         budget = None if max_jobs is None else max(0, int(max_jobs))
         saved_run_env = os.environ.get(RUN_ID_ENV)
         if self.telemetry.enabled:
@@ -323,7 +327,8 @@ class _DispatchLoop:
                     "repro_runner_passes_total",
                     "Claim-and-execute passes over the grid.",
                 ).inc()
-                n_recorded = self._pass(budget)
+                n_recorded = self._pass(budget, completed)
+                completed = None
                 if budget is not None:
                     budget -= n_recorded
                 if not n_recorded:
@@ -379,11 +384,15 @@ class _DispatchLoop:
                                  max_inflight=tenant.max_inflight)
         return scheduler
 
-    def _pass(self, budget: Optional[int]) -> int:
-        """One claim → dispatch → record pass; returns the jobs it recorded."""
-        for tenant in self.tenants.values():
+    def _pass(self, budget: Optional[int],
+              completed: Optional[Dict[str, Set[str]]] = None) -> int:
+        """One claim → dispatch → record pass; returns the jobs it recorded.
+        ``completed`` holds each tenant's completed ids when they were
+        just read; else the pass reads them."""
+        for name, tenant in self.tenants.items():
             tenant.counts["leased"] = 0  # re-observed every pass
-            done = tenant.store.completed_ids()
+            done = (completed[name] if completed is not None
+                    else tenant.store.completed_ids())
             pending = [job for job in tenant.jobs
                        if job.job_id not in done and job.job_id not in tenant.executed]
             tenant.backlog = deque(pending if budget is None else pending[:budget])
@@ -521,31 +530,36 @@ class _DispatchLoop:
         tenants = list(self.tenants.values())
         while (self._inflight or self.scheduler.queued()
                or any(t.backlog for t in tenants)):
-            for tenant in tenants:
-                self._top_up(tenant)
             self._fill_slots()
             self.driver.pump(self._poll)
             self._harvest()
             self._flush_all()
             self._chores()
 
-    def _top_up(self, tenant: _Tenant) -> None:
-        """Claim another batch into the tenant's queue when it runs low."""
-        while tenant.backlog and self.scheduler.depth(tenant.name) < self.batch_size:
+    def _top_up(self, tenant: _Tenant, slots: int) -> None:
+        """Claim the tenant's next batch once fewer of its jobs are queued
+        than the fleet has task ``slots``: it can still fill every slot of
+        this beat, and no claimed job waits a batch deep for dispatch."""
+        while tenant.backlog and self.scheduler.depth(tenant.name) < slots:
             batch = [tenant.backlog.popleft()
                      for _ in range(min(self.batch_size, len(tenant.backlog)))]
             for job in self._claim(tenant, batch):
                 self.scheduler.enqueue(tenant.name, job, priority=job.priority)
 
     def _fill_slots(self) -> None:
-        """Offer free slots to the scheduler; submit what it grants."""
+        """Top up every tenant's queue, offer free slots to the scheduler,
+        submit what it grants."""
         driver = self.driver
+        avail, live_caps = driver.capacity()  # joins and deaths applied
+        # Claims follow the live fleet: one slot while no worker has joined.
+        slots = min(self.batch_size, driver.n_slots()) or 1
+        for tenant in self.tenants.values():
+            self._top_up(tenant, slots)
         # One scheduler slot per free worker slot.  On a static fleet a
         # job no *live* worker can ever satisfy must not queue forever:
         # pass it through to the driver, whose unmatchable-constraint
         # check fails it with a clear error.  On a dynamic (tcp) fleet it
         # waits — a capable worker may yet join.
-        avail, live_caps = driver.capacity()
         static = not driver.transport.dynamic
 
         def can_place(job: Job) -> bool:

@@ -171,6 +171,32 @@ def _campaign_spec_from_args(args: argparse.Namespace):
     )
 
 
+def _restores_telemetry_env(command):
+    """Give ``$REPRO_TELEMETRY`` back its previous value when ``command``
+    returns.  ``--telemetry`` sets it so the command's worker processes
+    inherit the decision; an in-process caller of :func:`main` must not
+    inherit it too."""
+    import functools
+
+    @functools.wraps(command)
+    def wrapper(args: argparse.Namespace) -> int:
+        import os
+
+        from repro.telemetry import TELEMETRY_ENV
+
+        saved = os.environ.get(TELEMETRY_ENV)
+        try:
+            return command(args)
+        finally:
+            if saved is None:
+                os.environ.pop(TELEMETRY_ENV, None)
+            else:
+                os.environ[TELEMETRY_ENV] = saved
+
+    return wrapper
+
+
+@_restores_telemetry_env
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
     import os
 
@@ -254,6 +280,7 @@ def _parse_name_value(pairs, flag, cast):
     return out
 
 
+@_restores_telemetry_env
 def _cmd_campaign_serve(args: argparse.Namespace) -> int:
     import json
     import os
@@ -399,6 +426,12 @@ def _cmd_campaign_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_mw_worker(args: argparse.Namespace) -> int:
+    import os
+
+    # One OpenBLAS thread, set before numpy loads: the fleet's
+    # parallelism is its worker processes, and an unpinned pool starts
+    # an extra thread per core in every worker.  A value the user set wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from repro.mw.codec import CodecError
     from repro.mw.tcp import run_worker
     from repro.mw.transport import resolve_executor

@@ -301,6 +301,11 @@ class MWDriver:
         cutoff = STRAGGLER_FACTOR * min(means.values(), default=0.0)
         return {r: 1 if means.get(r, 0.0) > cutoff else TASK_SLOTS for r in live}
 
+    def n_slots(self) -> int:
+        """Task slots of the live fleet, busy or free: the most tasks one
+        beat can have in flight (see :meth:`_slot_limits`)."""
+        return sum(self._slot_limits().values())
+
     def _slot_freed(self, rank: int) -> None:
         """Move ``rank`` to the back of the first-come order."""
         self._order.remove(rank)
@@ -315,7 +320,11 @@ class MWDriver:
         driver by taking, per task, the first entry covering the task's
         constraints (affinity aside); ``live`` has one entry per live
         rank.  The campaign dispatch loop offers scheduler slots from it.
+        Pending join and death events are applied first, so a rank that
+        joined while the caller was busy is offered at once, not a beat
+        later.
         """
+        self._poll_transport()
         slots = []
         live = []
         limits = self._slot_limits()

@@ -33,13 +33,14 @@ execute → reply, heartbeating from a background thread, until
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import selectors
 import socket
 import threading
 import time
 from collections import deque
-from typing import Any, Deque, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Any, Deque, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
+)
 
 import numpy as np
 # numpy imports its random module on first use.  A worker builds its
@@ -87,6 +88,9 @@ from repro.wire import (
     recv_exact,  # noqa: F401 - re-exported
     split_frames,
 )
+
+if TYPE_CHECKING:
+    import multiprocessing
 
 #: Protocol version carried in the hello/welcome handshake.
 #: Version 2 added the homogeneous ``list[str]``/``list[int]`` codec tags,
@@ -334,18 +338,25 @@ class SocketMasterTransport(Transport):
         """Next worker result/error frame (``None`` on timeout).
 
         Waits in the selector — accepting and welcoming tcp joiners on
-        the way — until a reply is complete or ``timeout`` elapses.
+        the way — until a reply is complete or ``timeout`` elapses.  A
+        worker that joins or dies during the wait ends it early, with
+        ``None``: the driver's next beat applies the event (feeds the
+        joiner, requeues the dead worker's tasks) instead of sleeping
+        out the timeout first.
         """
         if self._inbox:
             return self._inbox.popleft()
         if not self._reading():
             return None
+        n_events = len(self._events)
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             wait = None if deadline is None else max(0.0, deadline - time.monotonic())
             self._read_ready(wait)
             if self._inbox:
                 return self._inbox.popleft()
+            if len(self._events) > n_events:
+                return None
             if deadline is not None and time.monotonic() >= deadline:
                 return None
 
@@ -396,12 +407,16 @@ class ProcessTransport(SocketMasterTransport):
         )
         self._executor = executor
         self._caps = normalize_caps_map(worker_caps)
-        self.procs: Dict[int, mp.Process] = {}
+        self.procs: Dict[int, multiprocessing.Process] = {}
 
     def start(self) -> None:
         """Fork one daemon process per rank on its own socketpair."""
+        # imported here, not at module level: an mw-worker process, which
+        # loads this module for its task loop, never needs it
+        import multiprocessing
+
         self._open()
-        ctx = mp.get_context("fork")
+        ctx = multiprocessing.get_context("fork")
         for rank in range(1, self.n_workers + 1):
             master_end, worker_end = socket.socketpair()
             self._conns[rank] = master_end  # before the fork: the child closes it

@@ -120,7 +120,9 @@ class Transport:
         """Next worker reply, or ``None`` if nothing arrives within ``timeout``.
 
         ``timeout=None`` blocks until a reply is available; ``timeout=0``
-        polls without blocking.
+        polls without blocking.  A transport that reports liveness events
+        may return ``None`` early when one is queued during the wait, so
+        the caller can :meth:`poll` it at once.
         """
         raise NotImplementedError
 

@@ -310,6 +310,37 @@ class TestMultiCampaignMaster:
         assert names == []
         assert set(renewed) == set(master.tenants)
 
+    def test_claims_keep_queues_under_one_batch_past_the_slots(
+        self, tmp_path, monkeypatch
+    ):
+        """A tenant claims its next batch only when fewer of its jobs are
+        queued than the fleet has slots, so no queue at an auction holds
+        more than slots + batch_size - 1 jobs (2 workers x 2 slots + 8 - 1
+        = 11; claiming whenever fewer than batch_size were queued let it
+        reach 15)."""
+        depths = Counter()
+        select = CampaignScheduler.select
+
+        def recording_select(sched, can_place=None):
+            for name in sched.tenants:
+                depths[name] = max(depths[name], sched.depth(name))
+            return select(sched, can_place)
+
+        monkeypatch.setattr(CampaignScheduler, "select", recording_select)
+        directories = []
+        for name, algorithm in (("tenant-a", "DET"), ("tenant-b", "PC")):
+            directory = tmp_path / name
+            Campaign(directory, spec=tenant_spec(name, algorithm,
+                                                 seeds=list(range(24))))
+            directories.append(directory)
+        master = MultiCampaignMaster(directories, transport="process",
+                                     max_workers=2, batch_size=8,
+                                     telemetry=NULL)
+        reports = master.serve(timeout=120)
+        assert all(report.n_done == 24 for report in reports.values())
+        assert set(depths) == {"tenant-a", "tenant-b"}
+        assert 8 <= max(depths.values()) <= 11, depths
+
     def test_unknown_override_name_rejected(self, tmp_path):
         Campaign(tmp_path / "a", spec=tenant_spec("only", "DET"))
         with pytest.raises(ValueError, match="match no tenant"):

@@ -14,6 +14,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -21,6 +22,7 @@ import pytest
 
 from repro.campaign import Campaign, CampaignRunner, CampaignSpec, ResultStore
 from repro.campaign.scheduler import MultiCampaignMaster
+from repro.mw.tcp import run_worker
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -139,6 +141,39 @@ class TestTcpCampaignAcceptance:
         assert worker.returncode == 0, wout.decode()
         campaign = Campaign(directory)
         assert len(campaign.store.completed()) == 6
+
+
+class TestFirstBeat:
+    def test_workers_joined_before_the_first_beat_get_work_in_it(self, tmp_path):
+        """Both workers are welcomed before the loop's first beat: that
+        beat's dispatch already feeds them, instead of its pump first
+        sleeping out the wait to learn of the joins."""
+        directory = str(tmp_path / "camp")
+        Campaign(directory, spec=small_spec())
+        submitted_at_first_pump = []
+
+        def join_two_workers(driver):
+            for _ in range(2):
+                threading.Thread(target=run_worker, daemon=True,
+                                 args=(driver.transport.address,)).start()
+            deadline = time.monotonic() + 30
+            while len(driver.transport.stats()["connected"]) < 2:
+                assert time.monotonic() < deadline, "workers did not join"
+                time.sleep(0.01)
+            pump = driver.pump
+
+            def first_pump_sees_submissions(timeout=0.05):
+                if not submitted_at_first_pump:
+                    submitted_at_first_pump.append(driver.n_submitted)
+                return pump(timeout)
+
+            driver.pump = first_pump_sees_submissions
+
+        master = MultiCampaignMaster([directory], transport="tcp://127.0.0.1:0",
+                                     max_workers=2)
+        (report,) = master.serve(timeout=120, on_start=join_two_workers).values()
+        assert report.n_done == 6
+        assert submitted_at_first_pump == [4]  # two task slots per worker
 
 
 class TestWatchJson:

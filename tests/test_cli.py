@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,27 @@ class TestCommands:
         assert sum(c["claimed"] for c in cells.values()) == 1  # expired excluded
         claimed_cell = pending[0].label
         assert cells[(claimed_cell, "sphere")]["claimed"] == 1
+
+    @pytest.mark.parametrize("preset", [None, "0"])
+    def test_telemetry_flag_leaves_the_environment_as_found(
+        self, tmp_path, capsys, monkeypatch, preset
+    ):
+        """--telemetry reaches the command's workers through the
+        environment, and is gone again once the command returns."""
+        if preset is None:
+            monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_TELEMETRY", preset)
+        before = dict(os.environ)
+        directory = str(tmp_path / "camp")
+        rc = main(self._small_campaign_args(directory)
+                  + ["--max-jobs", "1", "--telemetry"])
+        assert rc == 0 and dict(os.environ) == before
+        assert (tmp_path / "camp" / "telemetry.jsonl").exists()
+        rc = main(["campaign", "serve", directory, "--transport", "inproc",
+                   "--max-workers", "1", "--telemetry"])
+        assert rc == 0 and dict(os.environ) == before
+        capsys.readouterr()
 
     def test_campaign_bad_batch_size_is_clean(self, tmp_path, capsys):
         """A batch size below 1 exits 2 with an error line, running nothing."""

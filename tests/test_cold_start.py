@@ -9,6 +9,7 @@ imported everything.
 """
 
 import os
+import socket
 import subprocess
 import sys
 import time
@@ -17,6 +18,8 @@ from pathlib import Path
 import pytest
 
 from repro.campaign.backends.netstore import NetworkStoreBackend
+from repro.mw.messages import MSG_HELLO
+from repro.mw.tcp import recv_frame
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -37,6 +40,7 @@ NOT_ON_WORKER_PATH = (
     "repro.water",
     "repro.cluster",
     "repro.optroot",
+    "multiprocessing",  # only a forked process fleet's master uses it
 )
 
 
@@ -203,3 +207,35 @@ def test_live_store_serve_runs_one_thread_without_numpy(tmp_path):
     finally:
         proc.terminate()
         proc.communicate(timeout=30)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/<pid>/status")
+def test_mw_worker_pins_openblas_to_one_thread():
+    """Started with OPENBLAS_NUM_THREADS unset, an mw-worker has loaded
+    numpy by its hello and still runs one thread: it pins the variable
+    before the import, so OpenBLAS starts no pool."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(60)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "mw-worker",
+             f"tcp://127.0.0.1:{listener.getsockname()[1]}",
+             "--connect-timeout", "30",
+             "--executor", "repro.campaign.execution:mw_job_executor"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(60)
+                hello = recv_frame(conn)
+                status = Path(f"/proc/{proc.pid}/status").read_text()
+                maps = Path(f"/proc/{proc.pid}/maps").read_text()
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+    assert hello.tag == MSG_HELLO
+    assert "numpy" in maps
+    assert "Threads:\t1\n" in status

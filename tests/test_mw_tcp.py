@@ -557,6 +557,58 @@ class TestSelectorReceive:
         t.join(timeout=10)
         assert not t.is_alive()
 
+    def test_a_join_during_the_wait_ends_recv_early(self, master):
+        """The hello completes while recv waits: recv returns None at once
+        rather than sleeping out its timeout, and the join is polled."""
+        welcomed = {}
+
+        def join():
+            sock = socket.create_connection((master.host, master.port), timeout=5)
+            send_frame(sock, Message(tag=MSG_HELLO, sender=0,
+                                     payload={"version": PROTOCOL_VERSION}))
+            welcomed["rank"] = recv_frame(sock).payload["rank"]
+            welcomed["sock"] = sock
+
+        helper = threading.Thread(target=join, daemon=True)
+        helper.start()
+        try:
+            start = time.monotonic()
+            assert master.recv(timeout=5) is None
+            assert time.monotonic() - start < 2.0
+            helper.join(timeout=5)
+            assert master.poll() == [(EVENT_JOINED, welcomed["rank"])]
+        finally:
+            helper.join(timeout=5)
+            if "sock" in welcomed:
+                welcomed["sock"].close()
+
+    def test_a_death_during_the_wait_ends_recv_early(self, master):
+        sock, rank = raw_worker(master)
+        assert master.poll() == [(EVENT_JOINED, rank)]
+        closer = threading.Timer(0.1, sock.close)
+        closer.start()
+        try:
+            start = time.monotonic()
+            assert master.recv(timeout=5) is None
+            assert time.monotonic() - start < 2.0
+            assert master.poll() == [(EVENT_DIED, rank)]
+        finally:
+            closer.join()
+
+    def test_capacity_offers_workers_that_joined_between_beats(self):
+        """Joins the driver has not polled yet count at once: capacity()
+        applies them, so the first beat can dispatch to both workers."""
+        with tcp_driver(square) as driver:
+            for _ in range(2):
+                start_worker(driver.transport.address, square)
+            deadline = time.monotonic() + 10
+            while len(driver.transport.stats()["connected"]) < 2:
+                assert time.monotonic() < deadline, "workers did not join"
+                time.sleep(0.01)
+            free, live = driver.capacity()
+            assert len(live) == 2 and len(free) == 4
+            assert driver.n_slots() == 4
+
 
 class TestThreadFreeMaster:
     """Accept and hello/welcome run on the thread that reads the master."""
