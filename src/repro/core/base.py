@@ -178,7 +178,11 @@ class _AskTellEngine:
         """Every slot of the round is told: merge and run the next step."""
         values = [slot.value for slot in self._round.values()]
         self._round = {}
-        self._merge_told_extras()
+        try:
+            self._merge_told_extras()
+        except Exception as exc:  # noqa: BLE001 - surfaced by ask()/result()
+            self._finish(error=exc)
+            return
         self._resume(values)
 
     def _merge_told_extras(self) -> None:
@@ -236,7 +240,7 @@ class _AskTellEngine:
         definition, so no refinements are minted for them.
         """
         pool = self._opt.pool
-        if not getattr(pool, "concurrent", True):
+        if not pool.concurrent:
             return []
         busy = self._refining
         candidates = [ev for ev in pool.active if ev not in busy]
@@ -367,11 +371,11 @@ class SimplexOptimizer:
         tolerance + walltime + max-steps.
     pool:
         Evaluation pool; a fresh :class:`SamplingPool` is built if omitted.
-        Anything with the same interface works (e.g. the MW-backed pool).
-        Pools with the generator form (``activate_rounds`` /
-        ``advance_rounds``) have their sampling published through the
-        ask/tell seam; pools without it are sampled synchronously at the
-        same points, so their runs complete without proposals.
+        Any :class:`SamplingPool` subclass works: the step loop samples
+        through its generator form (``activate_rounds`` /
+        ``advance_rounds``), so every sampling round is published through
+        the ask/tell seam.  To run on MW workers, drive the optimizer's
+        ask/tell seam from :class:`~repro.core.async_driver.AsyncEvalDriver`.
     record_trace:
         Keep per-step records for the analysis layer.
     """
@@ -407,7 +411,6 @@ class SimplexOptimizer:
         if pool is None:
             pool = SamplingPool(func, warmup=warmup, concurrent=self.concurrent_sampling)
         self.pool = pool
-        self._pool_rounds = hasattr(pool, "advance_rounds")
         self._t0 = pool.now
         vertices = np.asarray(initial_vertices, dtype=float)
         if vertices.ndim != 2:
@@ -604,17 +607,12 @@ class SimplexOptimizer:
     def _wait(self, dt: float, targets: Sequence[VertexEvaluation] = ()):
         """Generator: spend ``dt`` virtual seconds sampling; track per-step
         wait time."""
-        if self._pool_rounds:
-            yield from self.pool.advance_rounds(dt, targets=targets or None)
-        else:
-            self.pool.advance(dt, targets=targets or None)
+        yield from self.pool.advance_rounds(dt, targets=targets or None)
         self._step_wait += dt
 
     def _activate(self, theta, label: str):
         """Generator: activate a new vertex; returns its evaluation."""
-        if self._pool_rounds:
-            return (yield from self.pool.activate_rounds(theta, label=label))
-        return self.pool.activate(theta, label=label)
+        return (yield from self.pool.activate_rounds(theta, label=label))
 
     def _discard(self, *evs: VertexEvaluation) -> None:
         for ev in evs:

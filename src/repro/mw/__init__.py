@@ -31,7 +31,8 @@ parameter space and the initiation of new simulations at a different point".
 from repro._lazy import lazy_exports as _lazy_exports
 
 # Lazy, so an `mw-worker` (which needs `.tcp` and its worker loop)
-# imports neither the driver nor the vertex pool and file-I/O layers.
+# imports neither the driver nor the Fig. 3.2 vertex server and file-I/O
+# layers.
 _EXPORTS = {
     "repro.mw.codec": (
         "pack",
@@ -65,10 +66,6 @@ _EXPORTS = {
     ),
     "repro.mw.driver": (
         "MWDriver",
-    ),
-    "repro.mw.vertex_pool": (
-        "MWVertexPool",
-        "VertexSampler",
     ),
     "repro.mw.fileio": (
         "FileIOChannel",

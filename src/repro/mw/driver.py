@@ -7,8 +7,9 @@ paper's MW usage:
 
 * tasks and workers do not communicate with one another directly — results
   come back to the master only;
-* each simplex vertex prefers a dedicated worker (*affinity*), and "when a
-  worker is restarted by the master, it is restarted on the same processors";
+* a task may prefer a worker rank (*affinity*; the paper binds each
+  simplex vertex to one), and "when a worker is restarted by the master,
+  it is restarted on the same processors";
 * worker errors (and worker deaths) requeue the task (up to ``max_retries``)
   rather than aborting the optimization.
 
@@ -221,11 +222,10 @@ class MWDriver:
         """Forget a finished task once its caller has taken the result.
 
         :attr:`tasks` otherwise holds every task's work payload and reply
-        for the driver's whole life; loops that keep their own task map
-        (the async driver, the campaign dispatch loop) release each task
-        as they harvest it, while :meth:`wait_all` callers keep today's
-        full history.  A late reply for a released task is ignored like
-        any other stale reply.
+        for the driver's whole life; the loops that keep their own task
+        map (the async driver, the campaign dispatch loop) release each
+        task as they harvest it.  A late reply for a released task is
+        ignored like any other stale reply.
         """
         if not (task.done or task.failed):
             raise ValueError(f"task {task.task_id} is not finished")

@@ -326,7 +326,9 @@ class SamplingPool:
     # only moves after the round is merged.  The synchronous
     # :meth:`activate` / :meth:`advance` drive the same generators with
     # :func:`sample_locally`; the ask/tell engine in :mod:`repro.core.base`
-    # publishes each round as proposals instead.
+    # publishes each round as proposals instead.  A pool that samples
+    # something other than the surface overrides only :meth:`_sample_rounds`
+    # (:class:`~repro.water.property_pool.PropertySamplingPool`).
 
     def activate_rounds(self, theta, label: str = ""):
         """Generator form of :meth:`activate`; returns the new evaluation."""

@@ -11,8 +11,8 @@ model as a drop-in pool for the optimizers:
   eq. 3.4 cost of the precision-weighted property means, and whose ``sem``
   comes from delta-method propagation **at the current means** (plus the
   chi-square floor near the optimum);
-* :class:`PropertySamplingPool` — the ``SamplingPool``-protocol container
-  that advances all active vertices by sampling every property for ``dt``.
+* :class:`PropertySamplingPool` — a :class:`~repro.noise.stochastic.SamplingPool`
+  whose rounds sample every property of every vertex for ``dt`` on the master.
 
 Because the cost is a nonlinear function of noisy means, its estimator is
 biased at finite t (E[cost(means)] = cost(true) + sum a_i sigma_i^2/t); this
@@ -23,15 +23,22 @@ is exactly the bias a real squared-residual objective has, and it decays as
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.noise.clock import VirtualClock
 from repro.noise.evaluation import VertexEvaluation
+from repro.noise.stochastic import SamplingPool
 from repro.water.cost import WaterCostFunction
 from repro.water.experiment import EXPERIMENTAL_TARGETS
 from repro.water.surrogate import WaterSurrogate
+
+
+_NO_TOLD_VALUES = (
+    "PropertySamplingPool samples properties on the master; "
+    "it cannot merge told surface values"
+)
 
 
 class PropertyEvaluation(VertexEvaluation):
@@ -111,8 +118,12 @@ class PropertyEvaluation(VertexEvaluation):
         return s * s if math.isfinite(s) else math.inf
 
 
-class PropertySamplingPool:
-    """``SamplingPool``-protocol pool sampling water properties per vertex.
+class PropertySamplingPool(SamplingPool):
+    """:class:`~repro.noise.stochastic.SamplingPool` sampling water properties.
+
+    Every round samples each property of each of its vertices on the
+    master, from :attr:`rng`.  Told surface values (a round's or a
+    refinement's) fail the ask/tell run with a ``TypeError``.
 
     Parameters
     ----------
@@ -135,49 +146,23 @@ class PropertySamplingPool:
         warmup: float = 1.0,
         rng=None,
     ) -> None:
-        if not (warmup > 0.0):
-            raise ValueError(f"warmup must be > 0, got {warmup!r}")
         self.surrogate = surrogate if surrogate is not None else WaterSurrogate()
         self.cost = cost if cost is not None else WaterCostFunction(EXPERIMENTAL_TARGETS)
-        self.warmup = float(warmup)
         self.rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        self.clock = VirtualClock()
-        self.active: List[PropertyEvaluation] = []
-        self.n_activations = 0
         self._sigma0 = {name: self.surrogate.sigma0(name) for name in self.cost.properties}
-        self.func = _PropertyFunctionView(self)
+        super().__init__(_PropertyFunctionView(self), warmup=warmup)
 
-    # -- SamplingPool protocol ------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        return self.clock.now
-
-    def activate(self, theta, label: str = "") -> PropertyEvaluation:
-        ev = PropertyEvaluation(theta, self.cost, self._sigma0, label=label)
-        self.active.append(ev)
-        self.n_activations += 1
-        self.advance(self.warmup)
-        return ev
-
-    def adopt(self, ev: PropertyEvaluation) -> PropertyEvaluation:
-        if ev not in self.active:
-            self.active.append(ev)
-        return ev
-
-    def deactivate(self, ev: PropertyEvaluation) -> None:
-        try:
-            self.active.remove(ev)
-        except ValueError:
-            raise ValueError("evaluation is not active in this pool") from None
-
-    def advance(self, dt: float, targets=None) -> float:
-        dt = float(dt)
-        if not (dt > 0.0):
-            raise ValueError(f"dt must be > 0, got {dt!r}")
-        for ev in self.active:
+    def _sample_rounds(self, evs, dt: float):
+        """Yield one round and sample every property of ``evs`` locally,
+        vertex by vertex, property by property."""
+        if not evs:
+            return
+        evs = list(evs)
+        if (yield evs, dt) is not None:
+            raise TypeError(_NO_TOLD_VALUES)
+        scale = 1.0 / math.sqrt(dt)
+        for ev in evs:
             clean = self.surrogate.properties(ev.theta)
-            scale = 1.0 / math.sqrt(dt)
             block = {
                 name: clean[name] + self.rng.normal(0.0, self._sigma0[name]) * scale
                 for name in self._sigma0
@@ -185,26 +170,24 @@ class PropertySamplingPool:
             ev.merge_property_block(dt, block)
             self.func.n_underlying_calls += 1
             self.func.total_sampling_time += dt
-        return self.clock.advance(dt)
-
-    def __len__(self) -> int:
-        return len(self.active)
-
-    def __contains__(self, ev) -> bool:
-        return ev in self.active
 
 
 class _PropertyFunctionView:
-    """StochasticFunction-shaped adapter for the optimizer plumbing."""
+    """StochasticFunction-shaped adapter: the pool's clock, counters and
+    evaluation factory."""
 
     def __init__(self, pool: PropertySamplingPool) -> None:
         self._pool = pool
+        self.clock = VirtualClock()
         self.n_underlying_calls = 0
         self.total_sampling_time = 0.0
 
-    @property
-    def clock(self) -> VirtualClock:
-        return self._pool.clock
+    def start(self, theta, label: str = "") -> PropertyEvaluation:
+        return PropertyEvaluation(theta, self._pool.cost, self._pool._sigma0, label=label)
+
+    def merge_external_batch(self, evs, dt: float, fvals) -> None:
+        """Told refinements are surface values too: rejected like a round's."""
+        raise TypeError(_NO_TOLD_VALUES)
 
     def true_value(self, theta) -> float:
         return self._pool.cost(self._pool.surrogate.properties(np.asarray(theta, dtype=float)))

@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    MaxStepsTermination,
-    PointComparison,
-    ToleranceTermination,
-    WalltimeTermination,
-    optimize,
-)
-from repro.functions import Sphere, initial_simplex
+from repro.core import MaxStepsTermination, optimize
+from repro.functions import Sphere
 from repro.mw import FileIOChannel, MWDriver, VertexServer
 from repro.mw.vertex_server import ServerProxyExecutor
 from repro.noise import StochasticFunction
@@ -67,12 +61,14 @@ class TestOptimizeFrontDoor:
 class TestFullMWStack:
     def test_master_worker_server_client_chain(self, tmp_path):
         """Fig 3.2's full path drives a real optimization: the optimizer's
-        pool dispatches MW tasks; each worker proxies through spool files to
-        a vertex server running Ns=6 surrogate property clients; the server
-        applies the eq. 3.4 cost."""
+        proposals become MW tasks; each worker proxies through spool files
+        to a vertex server running Ns=6 surrogate property clients; the
+        server applies the eq. 3.4 cost and its sample is the value told."""
         import threading
 
-        from repro.mw.vertex_pool import MWVertexPool
+        from repro.core import NelderMead
+        from repro.core.async_driver import AsyncEvalDriver, EvalSource
+        from repro.water.tip4p import INITIAL_SIMPLEX_3_4A
 
         # vertex server with the six water property systems
         server = VertexServer(water_systems("surrogate"), cost=water_cost(), seed=1)
@@ -84,40 +80,38 @@ class TestFullMWStack:
             target=server.serve, args=(req_r, rsp_w), kwargs={"timeout": 30.0}
         )
         thread.start()
+        proxy = ServerProxyExecutor(req_w, rsp_r, timeout=30.0)
+
+        def server_value(work, context):
+            return {"value": proxy(work, context)["sample"]}
+
+        driver = MWDriver(server_value, n_workers=1, backend="inproc", seed=0)
         try:
-            executor = ServerProxyExecutor(req_w, rsp_r, timeout=30.0)
-            driver = MWDriver(executor, n_workers=1, backend="inproc", seed=0)
             f, _, _ = surrogate_cost_function()
-            # long warmup -> the server's property noise (sigma ~ 1/sqrt(t))
-            # is tiny by the time the master reads the estimate
-            pool = MWVertexPool(
-                f, sigma0=0.0, driver=driver, warmup=10_000.0
+            # the initial simplex is sampled on the master at construction;
+            # every later evaluation goes through the server
+            opt = NelderMead(
+                StochasticFunction(f, sigma0=0.0, rng=0),
+                INITIAL_SIMPLEX_3_4A[:4],
+                termination=MaxStepsTermination(2),
             )
-            # route pool sampling through the server instead of the local f
-            ev = pool.activate(TIP4P_PUBLISHED)
-            assert ev.estimate == pytest.approx(f(TIP4P_PUBLISHED), abs=0.5)
+            outcomes = []
+            AsyncEvalDriver(driver, max_inflight=1).run(
+                [EvalSource(
+                    key="water", opt=opt,
+                    make_work=lambda p: {"theta": p.theta, "dt": p.dt},
+                )],
+                lambda source, result, error: outcomes.append((result, error)),
+            )
         finally:
             req_w.write(None)
             thread.join(timeout=10.0)
             driver.shutdown()
-
-    def test_pc_over_mw_threaded_full_opt(self):
-        from repro.mw.vertex_pool import MWVertexPool
-
-        def f(theta):
-            return float(np.dot(theta, theta))
-
-        with MWVertexPool(f, sigma0=0.3, n_workers=5, backend="threaded", seed=2) as pool:
-            term = (
-                ToleranceTermination(5e-2)
-                | WalltimeTermination(5e3)
-                | MaxStepsTermination(150)
-            )
-            result = PointComparison(
-                pool.func, initial_simplex([2.0, -1.0], step=1.0),
-                pool=pool, termination=term,
-            ).run()
-        assert result.best_true < 1.0
+        ((result, error),) = outcomes
+        assert error is None
+        assert result.n_steps >= 1
+        assert server.n_evaluations > 0
+        assert result.n_underlying_calls == 4 + server.n_evaluations
 
 
 class TestWaterOnRealMD:

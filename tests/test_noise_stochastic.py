@@ -130,6 +130,11 @@ class TestSamplingPoolConcurrent:
         assert a.time == t
         assert a not in pool
 
+    @pytest.mark.parametrize("warmup", [0.0, -1.0])
+    def test_nonpositive_warmup_rejected(self, warmup):
+        with pytest.raises(ValueError):
+            SamplingPool(make(), warmup=warmup)
+
     def test_deactivate_unknown_raises(self):
         func = make()
         pool = SamplingPool(func, warmup=1.0)

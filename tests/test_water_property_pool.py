@@ -1,11 +1,13 @@
 """Tests for the property-level water evaluation pool."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
-from repro.core import MaxStepsTermination, PointComparison
+from repro.core import ALGORITHMS, MaxStepsTermination, NelderMead, PointComparison
 from repro.water import TIP4P_PUBLISHED, WaterSurrogate
 from repro.water.cost import WaterCostFunction
 from repro.water.experiment import EXPERIMENTAL_TARGETS
@@ -110,6 +112,30 @@ class TestPropertySamplingPool:
         with pytest.raises(ValueError):
             p.advance(0.0)
 
+    @pytest.mark.parametrize("refinements", [0, 2])
+    def test_asktell_fails_loudly(self, refinements):
+        """A property-level round has no surface value a worker could
+        return: told values (told refinements first, too) fail the run at
+        the first completed round, and ask()/result() surface the
+        TypeError."""
+        pool = PropertySamplingPool(rng=3)
+        opt = NelderMead(
+            pool.func,
+            INITIAL_SIMPLEX_3_4A[:4],
+            pool=pool,
+            termination=MaxStepsTermination(5),
+        )
+        proposals = opt.ask()
+        assert proposals, "the first step's round was not published"
+        if refinements:
+            proposals = opt.ask(refinements) + proposals
+        opt.tell_many([(p.id, 0.0) for p in proposals])
+        assert opt.finished
+        with pytest.raises(TypeError, match="told surface values"):
+            opt.ask()
+        with pytest.raises(TypeError, match="told surface values"):
+            opt.result()
+
 
 class TestPropertyLevelOptimization:
     def test_pc_runs_on_property_pool(self):
@@ -144,3 +170,44 @@ class TestPropertyLevelOptimization:
             algorithm="MN", seed=5, walltime=2e5, max_steps=150, tau=1e-3
         )
         np.testing.assert_allclose(a.best_theta, b.best_theta, atol=0.15)
+
+
+def result_digest(result):
+    """Short hex digest of everything a property-level run determines."""
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(result.best_theta, dtype=float).tobytes())
+    h.update(
+        json.dumps(
+            [
+                float(result.best_estimate),
+                int(result.n_underlying_calls),
+                int(result.n_steps),
+                float(result.total_sampling_time),
+                result.trace.to_records(),
+            ],
+            sort_keys=True,
+        ).encode()
+    )
+    return h.hexdigest()[:20]
+
+
+#: ``parameterize_water_property_level(algorithm, seed=3, max_steps=25)``,
+#: captured while the pool still sampled through its own activate/advance;
+#: the per-property noise order (vertex by vertex, property by property)
+#: is part of the pin.
+PROPERTY_LEVEL_GOLDEN = {
+    "ANDERSON": "7f3deccbd4b19ab2861d",
+    "DET": "ac2c7840075bef0c4b2c",
+    "MN": "a85e4e1e3909b5135e5b",
+    "PC": "ec40d22ff25ea8cac427",
+    "PC+MN": "853ce364440d352839e3",
+}
+
+
+class TestPropertyLevelGolden:
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_seeded_run_matches_digest(self, algorithm):
+        result = parameterize_water_property_level(
+            algorithm=algorithm, seed=3, max_steps=25
+        )
+        assert result_digest(result) == PROPERTY_LEVEL_GOLDEN[algorithm]
