@@ -9,71 +9,11 @@ mints no speculative refinements (DET, whose pool is non-concurrent) is
 bitwise equal to the local run on every transport, noise included.
 """
 
-import numpy as np
 import pytest
 
-from repro.core import (
-    MaxStepsTermination,
-    NelderMead,
-    PointComparison,
-    default_termination,
-)
-from repro.core.async_driver import AsyncEvalDriver, EvalSource
-from repro.functions import Sphere, initial_simplex
-from repro.mw.driver import MWDriver
-from repro.noise import StochasticFunction
+from fleet_helpers import det, pc, run_on_fleet
 
 BACKENDS = ("inproc", "threaded", "process")
-
-
-def surface_executor(f):
-    """Worker side: the deterministic surface value of one proposal."""
-
-    def execute(work, context):
-        return {"value": float(f(np.asarray(work["theta"], dtype=float)))}
-
-    return execute
-
-
-def proposal_payload(proposal):
-    return {"theta": [float(x) for x in proposal.theta], "dt": proposal.dt}
-
-
-def run_on_fleet(opt, backend, n_workers=5, seed=0):
-    """Drive ``opt`` to its result on a fresh fleet; returns
-    ``(result, scheduling stats, per-rank utilization rows)``."""
-    driver = MWDriver(
-        surface_executor(opt.func.f), n_workers=n_workers, backend=backend, seed=seed
-    )
-    outcomes = []
-    try:
-        stats = AsyncEvalDriver(driver, max_inflight=n_workers).run(
-            [EvalSource(key="opt", opt=opt, make_work=proposal_payload)],
-            lambda source, result, error: outcomes.append((result, error)),
-        )
-        assert driver.tasks == {}, "a finished task was left in driver.tasks"
-        utilization = driver.utilization()
-    finally:
-        driver.shutdown()
-    ((result, error),) = outcomes
-    assert error is None
-    return result, stats, utilization
-
-
-def det(seed=3, steps=25):
-    return NelderMead(
-        StochasticFunction(Sphere(2), sigma0=0.5, rng=seed),
-        initial_simplex([2.0, -1.0], step=1.0),
-        termination=MaxStepsTermination(steps),
-    )
-
-
-def pc(seed=3):
-    return PointComparison(
-        StochasticFunction(Sphere(2), sigma0=0.5, rng=seed),
-        initial_simplex([2.0, -1.0], step=1.0),
-        termination=default_termination(tau=5e-2, walltime=5e3, max_steps=200),
-    )
 
 
 class TestDetOnFleet:
@@ -91,16 +31,6 @@ class TestDetOnFleet:
 
 
 class TestStochasticOnFleet:
-    @pytest.mark.parametrize("backend", ("threaded", "process"))
-    def test_pc_converges(self, backend):
-        result, _, _ = run_on_fleet(pc(), backend)
+    def test_pc_converges_on_process_fleet(self):
+        result, _, _ = run_on_fleet(pc(), "process")
         assert result.best_true < 1.0
-
-    def test_paper_worker_count_d_plus_3(self):
-        """d + 3 workers (paper §3.1): every rank works, no task fails."""
-        d = 2
-        result, stats, utilization = run_on_fleet(pc(), "threaded", n_workers=d + 3)
-        assert result.n_steps > 0
-        assert stats["told"] == stats["submitted"] > 0
-        assert len(utilization) == d + 3
-        assert all(row["tasks"] > 0 for row in utilization)

@@ -3,13 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.core import MaxStepsTermination, optimize
-from repro.functions import Sphere
+from repro.core import (
+    MaxStepsTermination,
+    PointComparison,
+    ToleranceTermination,
+    WalltimeTermination,
+    optimize,
+)
+from repro.functions import Sphere, initial_simplex
 from repro.mw import FileIOChannel, MWDriver, VertexServer
 from repro.mw.vertex_server import ServerProxyExecutor
 from repro.noise import StochasticFunction
 from repro.water import TIP4P_PUBLISHED, surrogate_cost_function, water_systems
 from repro.water.parameterize import water_cost
+
+from fleet_helpers import run_on_fleet
 
 
 class TestOptimizeFrontDoor:
@@ -112,6 +120,23 @@ class TestFullMWStack:
         assert result.n_steps >= 1
         assert server.n_evaluations > 0
         assert result.n_underlying_calls == 4 + server.n_evaluations
+
+    def test_pc_over_mw_threaded_full_opt(self):
+        def f(theta):
+            return float(np.dot(theta, theta))
+
+        term = (
+            ToleranceTermination(5e-2)
+            | WalltimeTermination(5e3)
+            | MaxStepsTermination(150)
+        )
+        opt = PointComparison(
+            StochasticFunction(f, sigma0=0.3, rng=2),
+            initial_simplex([2.0, -1.0], step=1.0),
+            termination=term,
+        )
+        result, _, _ = run_on_fleet(opt, "threaded", n_workers=5, seed=2)
+        assert result.best_true < 1.0
 
 
 class TestWaterOnRealMD:
