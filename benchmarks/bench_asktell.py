@@ -14,7 +14,10 @@ single runs (``--repeats 1``) of each and taking the median pair ratio.
 
 It also prints a digest of every record's job id, ``best_true``,
 ``best_estimate`` and ``n_underlying_calls``: a change that claims to
-keep every trajectory must leave it unchanged.
+keep every trajectory must leave it unchanged.  One more, untimed run
+counts the refinement share (``TELL_EXTRA`` tells over all tells) and
+the mw frames per job, so a change in how much speculative work the
+master handles is visible next to its CPU figure.
 
 Usage::
 
@@ -27,11 +30,13 @@ Not a CI gate; report before/after numbers with the change.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -40,6 +45,8 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 from repro.campaign import Campaign  # noqa: E402 - path bootstrap above
 from repro.campaign.spec import CampaignSpec  # noqa: E402
+from repro.core.async_driver import AsyncEvalDriver  # noqa: E402
+from repro.core.base import TELL_EXTRA, SimplexOptimizer  # noqa: E402
 
 #: The ``tcp-q32-mixed`` grid and scheduling shape.
 SPEC = dict(algorithms=["ANDERSON", "DET"], functions=["sphere"], dims=[4, 16],
@@ -73,13 +80,41 @@ def run_once() -> tuple:
     return cpu, len(records), records_digest(records)
 
 
+@contextlib.contextmanager
+def counting_tells():
+    """Count tell statuses (through ``tell_many``, the driver's fan-in)
+    and the async driver's frames while the block runs."""
+    counts: Counter = Counter()
+    tell_many, run = SimplexOptimizer.tell_many, AsyncEvalDriver.run
+
+    def counted_tell_many(opt, items):
+        statuses = tell_many(opt, items)
+        counts.update(statuses)
+        return statuses
+
+    def counted_run(driver, sources, on_finished):
+        stats = run(driver, sources, on_finished)
+        counts["frames"] += stats["frames"]
+        return stats
+
+    SimplexOptimizer.tell_many = counted_tell_many
+    AsyncEvalDriver.run = counted_run
+    try:
+        yield counts
+    finally:
+        SimplexOptimizer.tell_many = tell_many
+        AsyncEvalDriver.run = run
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5,
                         help="runs to take the minimum over (default 5)")
     args = parser.parse_args(argv)
     runs = [run_once() for _ in range(args.repeats)]
-    digests = {digest for _, _, digest in runs}
+    with counting_tells() as counts:
+        _, _, counted_digest = run_once()
+    digests = {digest for _, _, digest in runs} | {counted_digest}
     if len(digests) != 1:
         print(f"error: runs disagree on the record digest: {sorted(digests)}",
               file=sys.stderr)
@@ -88,6 +123,10 @@ def main(argv=None) -> int:
     print(f"master CPU per job: {1e3 * cpu / n_jobs:.2f} ms "
           f"(min of {args.repeats} runs of {n_jobs} jobs; "
           f"all: {', '.join(f'{1e3 * c / n_jobs:.2f}' for c, _, _ in runs)})")
+    n_tells = sum(n for status, n in counts.items() if status != "frames")
+    print(f"refinement share: {counts[TELL_EXTRA] / max(n_tells, 1):.3f} "
+          f"({counts[TELL_EXTRA]} TELL_EXTRA of {n_tells} tells)")
+    print(f"frames per job: {counts['frames'] / n_jobs:.1f}")
     print(f"record digest: {digest}")
     return 0
 

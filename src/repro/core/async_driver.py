@@ -13,8 +13,12 @@ degrades throughput by one worker instead of stalling a job's every step.
 The loop is three beats, repeated until every source is finalized:
 
 ``top_up``
-    Round-robin over unfinished sources, asking each for proposals while
-    in-flight capacity remains, and submitting them to the mw driver.
+    Hand the free in-flight capacity out in two passes over the unfinished
+    sources and submit what they return to the mw driver.  The first pass
+    takes only the round proposals each source's step is waiting on
+    (:attr:`EvalSource.opt`'s ``n_unasked``); only the budget every open
+    job's round leaves goes, in a second pass, to speculative refinements.
+    Required work is never queued behind speculation.
 ``pump``
     One :meth:`~repro.mw.driver.MWDriver.pump` beat — poll worker events,
     dispatch queued tasks, drain available replies.  Lost workers are
@@ -51,11 +55,15 @@ class EvalSource:
         Stable identifier (the campaign job id) used in callbacks and logs.
     opt:
         An optimizer exposing the full ask/tell seam — ``ask(max_proposals)``,
-        ``tell(id, value)``, ``finished``, ``result()`` and ``close()``
-        (every :class:`~repro.core.base.SimplexOptimizer`; note
+        ``tell(id, value)``, ``finished``, ``result()``, ``close()`` and
+        ``n_unasked`` (every :class:`~repro.core.base.SimplexOptimizer`; note
         :class:`~repro.core.pso.NoisyPSO` speaks ask/tell but has no
         termination criterion, so it is driven by :meth:`NoisyPSO.run`, not
         by this driver).
+        ``n_unasked`` is the read-only count of the current round's
+        proposals that ``ask`` has not handed out yet, 0 once finished.
+        The driver asks every source for those before it lets any source
+        mint refinements.
     make_work:
         Maps a :class:`~repro.core.base.Proposal` to the wire payload for the
         mw task (normally :func:`~repro.campaign.execution.proposal_work`).
@@ -208,44 +216,67 @@ class AsyncEvalDriver:
         }
 
     def _top_up(self, live: List[EvalSource]) -> None:
-        """Ask sources round-robin for proposals until in-flight is full.
+        """Fill the in-flight budget: round work first, speculation last.
+
+        The first pass, in ``live`` order, asks each source only for the
+        round proposals it has not handed out yet
+        (``ask(min(budget, n_unasked))``, which never mints a refinement).
+        Only if budget is left after every open job's round does a second
+        pass, again in ``live`` order, ask with the whole remainder, so
+        refinements fill purely idle capacity.  Where no refinement can be
+        minted (DET, non-concurrent pools) the second pass returns nothing
+        and the proposals and their order are those of one plain pass.
 
         With ``eval_batch > 1``, proposals accumulate in per-``batch_key``
         buckets that ship as one frame when full; whatever remains after
-        the round-robin is flushed immediately as partial frames (never
-        held for a later beat — see the class docstring).
+        both passes is flushed immediately as partial frames (never held
+        for a later beat — see the class docstring).
         """
         budget = self.max_inflight - self._inflight
-        eval_batch = self.eval_batch
         buckets: Dict[str, List[tuple]] = {}
         for src in live:
             if budget <= 0:
                 break
             opt = src.opt
-            if src.failed_error is not None or opt.finished:
-                self._touched[id(src)] = src  # finished without a tell
+            if src.failed_error is not None:
+                self._touched[id(src)] = src  # failed without a tell
                 continue
-            proposals = opt.ask(budget)
-            if opt.finished:  # finished at its start, also without a tell
+            k = opt.n_unasked  # starts a fresh run at its first round
+            if opt.finished:  # possibly at its start, also without a tell
                 self._touched[id(src)] = src
-            seen = src.submitted_ids
-            key = src.batch_key if src.batch_key is not None else src.key
-            for proposal in proposals:
-                if proposal.id in seen:
-                    continue
-                seen.add(proposal.id)
-                budget -= 1
-                if eval_batch == 1:
-                    self._submit([(src, proposal)])
-                    continue
-                bucket = buckets.get(key)
-                if bucket is None:
-                    bucket = buckets[key] = []
-                bucket.append((src, proposal))
-                if len(bucket) >= eval_batch:
-                    self._submit(buckets.pop(key))
+                continue
+            if k:
+                budget -= self._place(src, opt.ask(min(budget, k)), buckets)
+        for src in live:
+            if budget <= 0:
+                break
+            if src.failed_error is None and not src.opt.finished:
+                budget -= self._place(src, src.opt.ask(budget), buckets)
         for items in buckets.values():
             self._submit(items)
+
+    def _place(self, src: EvalSource, proposals, buckets) -> int:
+        """Submit (or bucket) ``src``'s not yet submitted proposals;
+        returns how many were new."""
+        seen = src.submitted_ids
+        eval_batch = self.eval_batch
+        key = src.batch_key if src.batch_key is not None else src.key
+        placed = 0
+        for proposal in proposals:
+            if proposal.id in seen:
+                continue
+            seen.add(proposal.id)
+            placed += 1
+            if eval_batch == 1:
+                self._submit([(src, proposal)])
+                continue
+            bucket = buckets.get(key)
+            if bucket is None:
+                bucket = buckets[key] = []
+            bucket.append((src, proposal))
+            if len(bucket) >= eval_batch:
+                self._submit(buckets.pop(key))
+        return placed
 
     def _submit(self, items: List[tuple]) -> None:
         """Ship one frame: a lone proposal as the classic single-eval task,

@@ -110,8 +110,8 @@ class _AskTellEngine:
     one optimizer's ask/tell calls must come from one thread at a time (the
     asynchronous driver makes them all from its scheduling loop).
 
-    Speculative refinements (minted by ``ask(n)`` when the round alone
-    cannot fill ``n`` slots) add extra sampling blocks to still-active
+    Speculative refinements (minted by ``ask(n)`` when the round's unasked
+    proposals cannot fill ``n`` slots) add extra sampling blocks to still-active
     vertices; they are merged at the next round boundary and never advance
     the virtual clock — idle MW workers keep sampling, exactly the paper's
     deployment model.  Tells for vertices that were discarded in the
@@ -534,12 +534,24 @@ class SimplexOptimizer:
         loop is suspended on (one *round*; empty once the run has finished
         or while the caller already holds the round).  With an integer, also
         tops the batch up with speculative refinement proposals on active
-        vertices — how an asynchronous driver keeps ``max_inflight``
-        evaluations in flight when a round alone is too small.  Note the
+        vertices once the round's proposals are handed out.  ``ask(k)`` with
+        ``k <= n_unasked`` therefore never mints a refinement: the
+        asynchronous driver asks that way first for every open job, and
+        only the budget all rounds leave goes to refinements.  Note the
         initial simplex is sampled synchronously at construction; ask/tell
         covers everything from the first step on.
         """
         return self._engine().ask(max_proposals)
+
+    @property
+    def n_unasked(self) -> int:
+        """Proposals of the current round that :meth:`ask` has not handed
+        out yet; 0 once the run is finished (or closed).
+
+        Reading it starts the ask/tell run, as :meth:`ask` does, so a fresh
+        optimizer reports its first round.
+        """
+        return len(self._engine()._fresh)
 
     def tell(self, proposal_id: str, value: float) -> str:
         """Feed back the deterministic surface value for one proposal.

@@ -31,6 +31,12 @@ class WorkerContext:
     ``frozenset({"md", "fast"})``) — the same vector the master matched
     against the task's constraints, so executors can stamp placement
     evidence (audit logs, records) with where they actually ran.
+
+    ``rng`` is this rank's private stream, seeded from
+    ``MWDriver(seed=...)`` through the transport's per-rank seed
+    sequences.  It exists for user executors only: no executor in this
+    package reads it, because campaign and fleet workers return the
+    deterministic ``f(theta)`` and the master draws all noise at merge.
     """
 
     rank: int

@@ -27,11 +27,13 @@ from repro.campaign import Campaign, CampaignSpec, JOB_AUDIT_ENV
 from repro.campaign.execution import (
     EVAL_DROP_ONCE_ENV,
     EVAL_SLOW_ENV,
+    batch_proposal_work,
     build_job_optimizer,
     mw_eval_executor,
     proposal_work,
 )
 from repro.core.async_driver import AsyncEvalDriver, EvalSource
+from repro.core.base import _AskTellEngine
 from repro.mw.driver import MWDriver
 
 
@@ -307,6 +309,78 @@ class TestLossChaos:
         assert closed[1] is None and closed[0].reason == "closed early"
         (done,) = outcomes[jobs[1].job_id]
         assert done[1] is None and done[0].n_steps > 0
+
+
+class TestRoundWorkFirst:
+    """Refinements fill only the in-flight budget every open job's round
+    proposals leave: required work never waits behind speculation."""
+
+    @staticmethod
+    def _holds_unasked_round(src) -> bool:
+        # the engine itself, so a run the driver never asked counts as
+        # holding its first round
+        engine = src.opt._asktell
+        return engine is None or bool(engine._fresh)
+
+    @pytest.mark.parametrize("eval_batch", [1, 4])
+    def test_no_refinement_while_a_round_proposal_is_unasked(
+        self, monkeypatch, eval_batch
+    ):
+        jobs = async_spec(n_seeds=6, algorithms=["MN", "PC"]).expand()
+        sources = [
+            EvalSource(key=job.job_id, opt=build_job_optimizer(job),
+                       make_work=(lambda j: lambda p: proposal_work(j, p))(job),
+                       batch_key=f"{job.function}:{job.dim}")
+            for job in jobs
+        ]
+        shipped = []
+        early = []
+        top_up, submit = AsyncEvalDriver._top_up, AsyncEvalDriver._submit
+
+        def recording_submit(driver, items):
+            shipped.extend(proposal.label for _, proposal in items)
+            return submit(driver, items)
+
+        def checked_top_up(driver, live):
+            del shipped[:]
+            top_up(driver, live)
+            if any(label.startswith("refine:") for label in shipped):
+                waiting = [src.key for src in live
+                           if src.failed_error is None and not src.opt.finished
+                           and self._holds_unasked_round(src)]
+                if waiting:
+                    early.append(waiting)
+
+        monkeypatch.setattr(AsyncEvalDriver, "_submit", recording_submit)
+        monkeypatch.setattr(AsyncEvalDriver, "_top_up", checked_top_up)
+        refinements = []
+        mint = _AskTellEngine._mint_refinements
+
+        def counting_mint(engine, n):
+            out = mint(engine, n)
+            refinements.extend(out)
+            return out
+
+        monkeypatch.setattr(_AskTellEngine, "_mint_refinements", counting_mint)
+        jobs_by_key = {job.job_id: job for job in jobs}
+
+        def make_batch(items):
+            return batch_proposal_work([(jobs_by_key[src.key], proposal)
+                                        for src, proposal in items])
+
+        outcomes = {}
+        driver = MWDriver(mw_eval_executor, n_workers=2, backend="inproc")
+        try:
+            AsyncEvalDriver(driver, max_inflight=12, eval_batch=eval_batch,
+                            make_batch_work=make_batch).run(
+                sources, lambda s, r, e: outcomes.__setitem__(s.key, (r, e))
+            )
+        finally:
+            driver.shutdown()
+        assert refinements, "the drive must mint refinements to test their order"
+        assert not early, f"refinements submitted while rounds waited: {early[:3]}"
+        assert len(outcomes) == len(jobs)
+        assert all(error is None for _, error in outcomes.values())
 
 
 class TestBatchedEvaluation:

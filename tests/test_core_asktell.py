@@ -11,7 +11,8 @@ change the optimizers:
   digests of the pre-generator reference loop.
 * **Protocol semantics** — duplicate tells are rejected cleanly, unknown
   ids raise, late tells go stale and are counted, speculative refinement
-  proposals respect the non-concurrent (DET) pool contract.
+  proposals respect the non-concurrent (DET) pool contract, and
+  ``n_unasked`` counts the round work ``ask`` has not handed out.
 * **Lifecycle** — the engine is thread-free: opening and abandoning runs
   starts no threads, ``close()`` returns at once, and ``result()`` on an
   unfinished run raises instead of waiting.
@@ -317,6 +318,66 @@ class TestRefinements:
             proposals = opt.ask()
         opt.result()
         assert opt.n_stale_tells >= before
+
+
+class TestUnaskedCount:
+    """``n_unasked``: the round proposals ``ask`` has not handed out yet —
+    what the async driver asks every source for before any refinement."""
+
+    @staticmethod
+    def _tell(opt, proposal):
+        return opt.tell(proposal.id, float(opt.func.f(np.asarray(proposal.theta))))
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_counts_the_rounds_untold_unasked_proposals(self, algorithm):
+        opt = build(algorithm, max_steps=8)
+        rounds = 0
+        while not opt.finished:
+            k = opt.n_unasked
+            assert k > 0, "a suspended run always waits on an unasked round"
+            first = opt.ask(1)
+            assert len(first) == 1 and opt.n_unasked == k - 1
+            rest = opt.ask()
+            assert len(rest) == k - 1 and opt.n_unasked == 0
+            held = first + rest
+            for proposal in held[:-1]:
+                assert self._tell(opt, proposal) == TELL_APPLIED
+                assert opt.n_unasked == 0, "a tell mid-round mints nothing"
+            assert self._tell(opt, held[-1]) == TELL_APPLIED
+            rounds += 1
+        assert rounds > 1
+        assert opt.n_unasked == 0
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_ask_k_never_mints_a_refinement(self, algorithm):
+        """Asking for at most ``n_unasked`` proposals hands out round work
+        only, so the run stays bitwise equal to the inline loop."""
+        opt = build(algorithm, max_steps=8)
+        while not opt.finished:
+            k = opt.n_unasked
+            held = opt.ask(max(1, k // 2)) + opt.ask(opt.n_unasked)
+            assert len(held) == k
+            assert not [p for p in held if p.label.startswith("refine:")]
+            assert opt.n_unasked == 0
+            for proposal in reversed(held):
+                self._tell(opt, proposal)
+        assert_results_identical(opt.result(), build(algorithm, max_steps=8)._run_inline())
+
+    def test_zero_once_closed(self):
+        opt = build("MN", max_steps=10)
+        assert opt.n_unasked > 0  # reading it starts the run at its first round
+        opt.close(reason="stop")
+        assert opt.finished and opt.n_unasked == 0
+        assert opt.ask(4) == []
+
+    def test_zero_once_finished(self):
+        opt = build("PC", max_steps=3)
+        while not opt.finished:
+            for proposal in opt.ask():
+                self._tell(opt, proposal)
+        assert opt.result().n_steps == 3
+        assert opt.n_unasked == 0
+        assert opt.ask(4) == []
 
 
 class TestThreadFreeLifecycle:

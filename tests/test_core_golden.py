@@ -202,13 +202,18 @@ def test_golden_table_covers_every_case():
 # -- the refinement path, through the async campaign driver -----------------
 #
 # The drives above never mint speculative refinements and use only the
-# ``average`` noise mode.  An inproc async campaign does both: its
-# ``ask(n)`` calls top frames up with refinements, whose told values merge
-# at round boundaries, and campaign jobs run in the default ``resample``
-# mode.  The inproc transport answers tasks in one deterministic order,
+# ``average`` noise mode.  An inproc async campaign does both: once every
+# open job's round is handed out, its ``ask(n)`` calls top frames up with
+# refinements, whose told values merge at round boundaries, and campaign
+# jobs run in the default ``resample`` mode.  The inproc transport answers tasks in one deterministic order,
 # so the run is reproducible and its records are pinned here.
 
-ASYNC_GOLDEN = "b1b0efb6d3f91966b1bd"
+ASYNC_GOLDEN = "c7fc15352470e798a89e"
+
+# DET's pool is not concurrent, so an async DET grid mints no refinement:
+# the driver's round-first top-up must hand out exactly the proposals, in
+# exactly the order, one plain pass over the sources did.
+ASYNC_DET_GOLDEN = "a3dd813229706ddad848"
 
 
 def async_records_digest(records):
@@ -222,7 +227,9 @@ def async_records_digest(records):
     return h.hexdigest()[:20]
 
 
-def test_async_campaign_with_refinements_matches_golden_digest(tmp_path, monkeypatch):
+def run_async_campaign(tmp_path, monkeypatch, algorithms):
+    """An inproc async campaign on a small sphere grid; returns its
+    records and every refinement proposal it minted."""
     from repro.campaign import Campaign, CampaignSpec
     from repro.core.base import _AskTellEngine
 
@@ -236,13 +243,24 @@ def test_async_campaign_with_refinements_matches_golden_digest(tmp_path, monkeyp
 
     monkeypatch.setattr(_AskTellEngine, "_mint_refinements", counting_mint)
     spec = CampaignSpec(
-        name="async-golden", algorithms=sorted(ALGORITHMS), functions=["sphere"],
+        name="async-golden", algorithms=sorted(algorithms), functions=["sphere"],
         dims=list(DIMS), sigma0s=[0.3], seeds=list(SEEDS), max_steps=6,
     )
     assert spec.noise_mode == "resample"
     campaign = Campaign(tmp_path / "camp", spec=spec)
     report = campaign.run(backend="mw", mw_transport="inproc", max_workers=2,
                           async_mode=True, eval_batch=8, max_inflight=16)
-    assert report.n_done == len(ALGORITHMS) * len(DIMS) * len(SEEDS)
+    assert report.n_done == len(algorithms) * len(DIMS) * len(SEEDS)
+    return list(campaign.store.records()), minted
+
+
+def test_async_campaign_with_refinements_matches_golden_digest(tmp_path, monkeypatch):
+    records, minted = run_async_campaign(tmp_path, monkeypatch, ALGORITHMS)
     assert minted, "the drive must exercise speculative refinements"
-    assert async_records_digest(campaign.store.records()) == ASYNC_GOLDEN
+    assert async_records_digest(records) == ASYNC_GOLDEN
+
+
+def test_async_det_campaign_matches_golden_digest(tmp_path, monkeypatch):
+    records, minted = run_async_campaign(tmp_path, monkeypatch, ["DET"])
+    assert not minted
+    assert async_records_digest(records) == ASYNC_DET_GOLDEN
