@@ -5,12 +5,12 @@ subtracts the jobs its result store already holds (resume), and drains
 the rest through :class:`_DispatchLoop` — the one claim → dispatch →
 record loop, which ``campaign serve``
 (:class:`~repro.campaign.scheduler.MultiCampaignMaster`) runs over many
-campaigns and ``campaign run`` over one.  Its work units are whole jobs
-as :class:`~repro.mw.MWDriver` tasks (``mw``; crashed workers requeue
-their tasks — ``serial`` is this kind on a one-rank ``threaded`` fleet),
-or ask/tell sources sharing one
-:class:`~repro.core.async_driver.AsyncEvalDriver` (``mw`` with
-``async_mode``).
+campaigns and ``campaign run`` over one, both through
+:meth:`_DispatchLoop.serve`.  Its work units are whole jobs as
+:class:`~repro.mw.MWDriver` tasks (``mw``; crashed workers requeue their
+tasks — ``serial`` is this kind on a one-rank ``threaded`` fleet), or
+ask/tell sources sharing one
+:class:`~repro.core.async_driver.AsyncEvalDriver` (``async_mode``).
 
 Every job is **claimed** in the store before it runs, so exactly one
 runner executes it however many processes or hosts drain the campaign.
@@ -208,7 +208,9 @@ class _DispatchLoop:
         refill finished, it flushes their records in one ``record_many``
         and appends fresh claims to the driver's live sources in the same
         beat.  In between, records coalesce (a flush costs milliseconds),
-        and ``flush_interval`` bounds any wait.
+        and ``flush_interval`` bounds any wait.  Tenants share the fleet
+        by their open jobs, not through the scheduler: weights, quotas
+        and constraints play no part in this kind.
 
     Every beat ends in :meth:`_chores`, the loop's timers on its one
     :attr:`clock`: each tenant's claims renew every ``lease_ttl / 3``
@@ -283,24 +285,30 @@ class _DispatchLoop:
 
     # -- the run -----------------------------------------------------------
 
-    def _drain(self, max_jobs: Optional[int] = None,
-               progress: Optional[Callable[[_Tenant], None]] = None,
-               timeout: Optional[float] = None,
-               on_start: Optional[Callable[[object], None]] = None,
-               poll_interval: float = 0.05) -> None:
-        """Drain every tenant; re-raises whatever interrupted it.
+    def serve(self, poll_interval: float = 0.05,
+              timeout: Optional[float] = None,
+              on_start: Optional[Callable[[object], None]] = None,
+              max_jobs: Optional[int] = None,
+              progress: Optional[ProgressCallback] = None,
+              ) -> Dict[str, CampaignReport]:
+        """Drain every tenant; returns ``{tenant: CampaignReport}``.
 
-        ``max_jobs`` caps the jobs each tenant executes, ``progress`` is
-        called with a tenant after each of its record flushes,
-        ``timeout`` bounds the run in real seconds (``TimeoutError``),
-        and ``on_start`` receives the mw driver once its transport is
-        live.  Reports are read from the tenants afterwards.
+        ``max_jobs`` caps the jobs each tenant executes; ``progress`` gets
+        a tenant's :class:`~repro.campaign.progress.ProgressSnapshot`
+        after each of its record flushes (the ``--progress`` heartbeat).
+        ``timeout`` bounds the run in real seconds (``TimeoutError``) —
+        on tcp the loop otherwise waits for capable workers forever.
+        ``on_start`` receives the mw driver once its transport is live
+        (the CLI prints the bound tcp address); nothing pending builds no
+        driver.  On any exit finished records are flushed and other
+        claims released; an interrupt is then re-raised, and
+        ``tenants[name].report(interrupted=True)`` reads what was done.
         """
         self._progress = progress
         self._on_start = on_start
         self._poll = float(poll_interval)
         self.scheduler = self._fresh_scheduler()
-        t0 = self._start_timers(timeout)
+        self._start_timers(timeout)
         # the first pass reuses these reads: one round trip per tenant
         completed = {name: tenant.store.completed_ids()
                      for name, tenant in self.tenants.items()}
@@ -359,20 +367,20 @@ class _DispatchLoop:
                     "run_end",
                     **{key: sum(t.counts[key] for t in self.tenants.values())
                        for key in ("done", "failed", "shed", "leased")},
-                    elapsed_s=self.clock() - t0,
+                    elapsed_s=self.clock() - self._started_at,
                     interrupted=interrupted,
                 )
                 self.telemetry.write_metrics()
+        return {name: tenant.report() for name, tenant in self.tenants.items()}
 
-    def _start_timers(self, timeout: Optional[float] = None) -> float:
+    def _start_timers(self, timeout: Optional[float] = None) -> None:
         """Reset every tenant and arm the loop's timers at the clock's
-        current reading, which is returned; ``timeout`` sets the deadline."""
+        current reading; ``timeout`` sets the deadline."""
         now = self.clock()
         self._deadline = None if timeout is None else now + float(timeout)
-        self._renewed_at = self._workers_at = now
+        self._started_at = self._renewed_at = self._workers_at = now
         for tenant in self.tenants.values():
             tenant.reset(now)
-        return now
 
     def _fresh_scheduler(self):
         """A scheduler with every tenant registered and nothing queued."""
@@ -507,7 +515,15 @@ class _DispatchLoop:
                 elapsed_s=float(rec.get("elapsed_s", 0.0)),
             )
         if self._progress is not None:
-            self._progress(tenant)
+            elapsed = max(self.clock() - self._started_at, 1e-9)
+            self._progress(ProgressSnapshot(
+                campaign=tenant.name,
+                n_total=tenant.n_total,
+                done=tenant.n_skipped + tenant.counts["done"] + tenant.counts["shed"],
+                failed=tenant.counts["failed"],
+                elapsed_s=elapsed,
+                rate=tenant.counts["done"] / elapsed,
+            ))
 
     def _flush_all(self) -> None:
         for tenant in self.tenants.values():
@@ -599,9 +615,21 @@ class _DispatchLoop:
             tenant, job, task = self._inflight.pop(tid)
             self.driver.release(task)
             tenant.finished.append(
-                task.result if task.done else CampaignRunner._mw_failure_record(job, task)
+                task.result if task.done else self._mw_failure_record(job, task)
             )
             self.scheduler.mark_complete(tenant.name)
+
+    @staticmethod
+    def _mw_failure_record(job: Job, task) -> dict:
+        """Store record for a task the driver gave up on (retries exhausted)."""
+        return {
+            "job_id": job.job_id,
+            "status": STATUS_FAILED,
+            "job": job.to_dict(),
+            "result": None,
+            "error": task.error or "mw task failed",
+            "elapsed_s": 0.0,
+        }
 
     # -- ask/tell units ------------------------------------------------------
 
@@ -849,38 +877,10 @@ class CampaignRunner(_DispatchLoop):
         everything is settled or the only jobs left are validly leased
         to live peers (``n_leased``; re-run later, or let the peer finish).
         """
-        t0 = time.monotonic()
-
-        def emit(tenant: _Tenant) -> None:
-            elapsed = max(time.monotonic() - t0, 1e-9)
-            progress(
-                ProgressSnapshot(
-                    campaign=self.spec.name,
-                    n_total=tenant.n_total,
-                    done=tenant.n_skipped + tenant.counts["done"] + tenant.counts["shed"],
-                    failed=tenant.counts["failed"],
-                    elapsed_s=elapsed,
-                    rate=tenant.counts["done"] / elapsed,
-                )
-            )
-
         try:
-            self._drain(max_jobs=max_jobs, progress=None if progress is None else emit)
+            return self.serve(max_jobs=max_jobs, progress=progress)[self.spec.name]
         except KeyboardInterrupt:
             return self._tenant.report(interrupted=True)
-        return self._tenant.report()
-
-    @staticmethod
-    def _mw_failure_record(job: Job, task) -> dict:
-        """Store record for a task the driver gave up on (retries exhausted)."""
-        return {
-            "job_id": job.job_id,
-            "status": STATUS_FAILED,
-            "job": job.to_dict(),
-            "result": None,
-            "error": task.error or "mw task failed",
-            "elapsed_s": 0.0,
-        }
 
 
 class Campaign:

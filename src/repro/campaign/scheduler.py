@@ -17,6 +17,8 @@ one worker fleet:
 * :class:`MultiCampaignMaster` — the runner's claim → dispatch → record
   loop (:class:`~repro.campaign.runner._DispatchLoop`) with one tenant
   per directory, all sharing one :class:`~repro.mw.driver.MWDriver`.
+  With ``async_mode`` its work units are single evaluations, shared by
+  open jobs rather than by this scheduler.
 
 Placement is constraint-checked twice: the scheduler only offers a job
 when a free worker slot's capability vector covers it
@@ -36,7 +38,6 @@ from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Sequence
 from repro.campaign.runner import (
     DEFAULT_LEASE_TTL,
     Campaign,
-    CampaignReport,
     _DispatchLoop,
     default_runner_id,
 )
@@ -236,7 +237,8 @@ class MultiCampaignMaster(_DispatchLoop):
     under leases, a :class:`CampaignScheduler` shares free worker slots
     out by deficit-weighted round-robin, placement honours each job's
     constraint vector, and a finished job is recorded in its tenant's
-    store at the end of the pump beat it finishes in.
+    store at the end of the pump beat it finishes in.  :meth:`serve`
+    drains them all.
 
     Parameters
     ----------
@@ -257,7 +259,13 @@ class MultiCampaignMaster(_DispatchLoop):
         ``{rank: [capability, …]}`` for the same-host transports (TCP
         workers declare their own caps in the hello handshake).
     batch_size:
-        Jobs claimed per top-up, per tenant — the lease granularity.
+        Jobs claimed per top-up, per tenant — the lease granularity (the
+        jobs each tenant keeps open in async mode).
+    async_mode / max_inflight / eval_batch / flush_interval:
+        As in :class:`~repro.campaign.runner.CampaignRunner`.  The pool
+        is shared by open jobs, not by DRR, so async mode refuses
+        (``ValueError``) differing weights, quotas, constraints and
+        ``worker_caps``.
     lease_ttl / runner_id / mw_max_retries / telemetry:
         As in :class:`~repro.campaign.runner.CampaignRunner`.
     """
@@ -275,6 +283,10 @@ class MultiCampaignMaster(_DispatchLoop):
         mw_max_retries: int = 2,
         runner_id: Optional[str] = None,
         telemetry: Optional[Telemetry] = None,
+        async_mode: bool = False,
+        max_inflight: Optional[int] = None,
+        eval_batch: int = 1,
+        flush_interval: float = 2.0,
     ) -> None:
         if not directories:
             raise ValueError("campaign serve needs at least one directory")
@@ -282,10 +294,12 @@ class MultiCampaignMaster(_DispatchLoop):
         if telemetry is None:
             telemetry = Telemetry.from_env(Path(directories[0]), runner=runner_id)
         super().__init__(
-            "job", label=transport, batch_size=batch_size, lease_ttl=lease_ttl,
+            "eval" if async_mode else "job", label=transport,
+            batch_size=batch_size, lease_ttl=lease_ttl,
             runner_id=runner_id, telemetry=telemetry, transport=transport,
             max_workers=max_workers, mw_max_retries=mw_max_retries,
-            worker_caps=worker_caps,
+            worker_caps=worker_caps, max_inflight=max_inflight,
+            eval_batch=eval_batch, flush_interval=flush_interval,
         )
         weights = dict(weights or {})
         quotas = dict(quotas or {})
@@ -309,23 +323,20 @@ class MultiCampaignMaster(_DispatchLoop):
                 f"--weight/--quota name(s) {sorted(unknown)} match no tenant; "
                 f"tenants: {sorted(self.tenants)}"
             )
-
-    def serve(self, poll_interval: float = 0.05,
-              timeout: Optional[float] = None,
-              on_start: Optional[Callable[[Any], None]] = None,
-              ) -> Dict[str, CampaignReport]:
-        """Drain every tenant; returns ``{tenant: CampaignReport}``.
-
-        ``timeout`` bounds the serve in real seconds (``TimeoutError``) —
-        on tcp the master otherwise waits for capable workers forever.
-        ``on_start`` receives the driver once its transport is live (the
-        CLI prints the bound tcp address); nothing pending builds no
-        driver.  On any exit finished records are flushed and other
-        claims released; an interrupt is then re-raised, and
-        ``tenants[name].report(interrupted=True)`` reads what was done.
-        """
-        self._drain(timeout=timeout, on_start=on_start, poll_interval=poll_interval)
-        return {name: tenant.report() for name, tenant in self.tenants.items()}
+        tenants = self.tenants.values()
+        ignored = [f"{t.name}'s quota" for t in tenants if t.max_inflight is not None]
+        ignored += [f"{t.name}'s constraints" for t in tenants
+                    if t.campaign.spec.constraints]
+        if len({t.weight for t in tenants}) > 1:
+            ignored.append("weights that differ between tenants")
+        if self.worker_caps:
+            ignored.append("--worker-caps")
+        if async_mode and ignored:  # the eval kind would silently drop them
+            raise ValueError(
+                f"async serve shares the fleet by open jobs, not by weight, "
+                f"quota or capability; it cannot honour {', '.join(ignored)} "
+                f"(serve without --async, or drop them)"
+            )
 
 
 def serve_status(directories: Sequence[Any]) -> List[dict]:

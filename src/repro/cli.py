@@ -12,27 +12,19 @@ Subcommands:
 * ``campaign`` — durable, parallel, resumable experiment sweeps
   (``campaign run | serve | status | watch | metrics | summary |
   compare | compact | migrate-store | store-serve``); see
-  :mod:`repro.campaign` and ``docs/CAMPAIGNS.md``.
-  ``run --backend mw`` distributes jobs through the :mod:`repro.mw`
-  master-worker layer, and several runner processes pointed at the same
-  directory cooperatively drain one campaign — claim leases
-  (``--lease-ttl``) guarantee exactly one runner executes each job.
-  ``run`` and ``serve`` share one claim → dispatch → record loop: ``run``
-  is a one-tenant serve.  ``--store jsonl|sqlite|store://host:port``
-  picks the result store engine (``store://`` talks to a ``campaign
-  store-serve`` process over TCP, so runners need no shared
-  filesystem); ``campaign migrate-store`` converts an existing campaign
-  between engines.  With ``--transport tcp://host:port`` the master listens for
-  remote workers instead of spawning local ones.  ``run --telemetry``
-  (or ``$REPRO_TELEMETRY=1``) records metrics and a job-lifecycle trace
-  to ``<dir>/telemetry.jsonl``; ``campaign metrics`` exports them as
-  Prometheus text or JSON (see ``docs/OBSERVABILITY.md``).
-  ``campaign serve DIR1 DIR2 …`` drains many campaigns (tenants)
-  through one long-lived master and one worker fleet: dispatch slots
-  are shared by deficit-weighted round-robin (``--weight``,
-  ``--quota``) and each tenant's constraint vector only places on
-  workers whose declared capabilities cover it (``--worker-caps`` for
-  local transports, ``mw-worker --caps`` over tcp).
+  :mod:`repro.campaign` and ``docs/CAMPAIGNS.md``.  ``run DIR``
+  initialises or resumes one directory's spec; ``serve DIR1 DIR2 …``
+  drains many campaigns (tenants) through one worker fleet, sharing
+  dispatch slots by deficit-weighted round-robin (``--weight``,
+  ``--quota``) and placing constrained jobs on capable workers
+  (``--worker-caps``, ``mw-worker --caps``).  Past that they are one
+  command: one option group (``--transport``, ``--async``,
+  ``--lease-ttl``, ``--telemetry``, …) and one handler over the one
+  claim → dispatch → record loop, whose claim leases let several
+  masters drain one store.  ``run --store jsonl|sqlite|store://host:port``
+  picks the store engine (``store://`` talks to ``campaign
+  store-serve`` over TCP); ``--transport tcp://host:port`` listens for
+  remote workers.
 * ``mw-worker`` — standalone TCP worker: connects to a master at
   ``tcp://host:port`` and serves tasks until the master shuts down.
   Start any number of these on any hosts that can reach the master; no
@@ -171,93 +163,6 @@ def _campaign_spec_from_args(args: argparse.Namespace):
     )
 
 
-def _restores_telemetry_env(command):
-    """Give ``$REPRO_TELEMETRY`` back its previous value when ``command``
-    returns.  ``--telemetry`` sets it so the command's worker processes
-    inherit the decision; an in-process caller of :func:`main` must not
-    inherit it too."""
-    import functools
-
-    @functools.wraps(command)
-    def wrapper(args: argparse.Namespace) -> int:
-        import os
-
-        from repro.telemetry import TELEMETRY_ENV
-
-        saved = os.environ.get(TELEMETRY_ENV)
-        try:
-            return command(args)
-        finally:
-            if saved is None:
-                os.environ.pop(TELEMETRY_ENV, None)
-            else:
-                os.environ[TELEMETRY_ENV] = saved
-
-    return wrapper
-
-
-@_restores_telemetry_env
-def _cmd_campaign_run(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.campaign import DEFAULT_LEASE_TTL, SPEC_FILENAME, Campaign
-    from repro.telemetry import TELEMETRY_ENV
-    from pathlib import Path
-
-    if args.telemetry:
-        # Through the environment rather than a parameter so pool / mw
-        # worker subprocesses inherit the decision too.
-        os.environ[TELEMETRY_ENV] = "1"
-    spec = None
-    if (Path(args.directory) / SPEC_FILENAME).exists():
-        if args.spec is not None:
-            spec = _campaign_spec_from_args(args)  # mismatch is an error
-        else:
-            print("resuming existing campaign (grid flags ignored; spec.json rules)")
-    else:
-        spec = _campaign_spec_from_args(args)
-    try:
-        campaign = Campaign(args.directory, spec=spec, store=args.store)
-    except ValueError as exc:  # conflicting spec / engine, bad manifest
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    progress_cb = None
-    if args.progress:
-        def progress_cb(snap):
-            print(snap.line(), flush=True)
-    backend = args.backend
-    if backend is None:
-        backend = "mw" if args.async_mode else "serial"
-    # Bad options (--batch-size 0, --async with --backend serial, a typo'd
-    # --transport, non-JSON mw options) raise ValueError before any claim.
-    try:
-        report = campaign.run(
-            backend=backend,
-            max_workers=args.max_workers,
-            batch_size=args.batch_size,
-            max_jobs=args.max_jobs,
-            mw_transport=args.mw_transport,
-            mw_affinity=args.mw_affinity,
-            async_mode=args.async_mode,
-            max_inflight=args.max_inflight,
-            eval_batch=args.eval_batch,
-            flush_interval=args.flush_interval,
-            lease_ttl=(DEFAULT_LEASE_TTL if args.lease_ttl is None
-                       else args.lease_ttl),
-            progress=progress_cb,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"campaign  : {campaign.spec.name}")
-    print(f"directory : {campaign.directory}")
-    print(f"backend   : {backend}" + (" (async)" if args.async_mode else ""))
-    print(f"report    : {report}")
-    if report.interrupted or report.n_remaining > 0:
-        print("resume    : re-run the same command to finish the remaining jobs")
-    return 130 if report.interrupted else 0
-
-
 def _open_campaign(directory):
     """Open an existing campaign or exit with a clean error (rc 2)."""
     from repro.campaign import Campaign
@@ -267,6 +172,59 @@ def _open_campaign(directory):
     except (FileNotFoundError, ValueError) as exc:  # no spec, bad manifest
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
+
+
+def _loop_options(args: argparse.Namespace) -> dict:
+    """The dispatch-loop settings both ``campaign run`` and ``campaign
+    serve`` take, under the parameter names the loop's builders share
+    (each names its transport itself)."""
+    from repro.campaign import DEFAULT_LEASE_TTL
+
+    return dict(
+        max_workers=args.max_workers,
+        batch_size=args.batch_size,
+        mw_max_retries=args.mw_max_retries,
+        async_mode=args.async_mode,
+        max_inflight=args.max_inflight,
+        eval_batch=args.eval_batch,
+        flush_interval=args.flush_interval,
+        lease_ttl=(DEFAULT_LEASE_TTL if args.lease_ttl is None
+                   else args.lease_ttl),
+    )
+
+
+def _campaign_runner(args: argparse.Namespace):
+    """``campaign run``: initialise or resume the directory's spec as a
+    one-tenant loop.  Returns the loop, its banner and its report row."""
+    from pathlib import Path
+
+    from repro.campaign import SPEC_FILENAME, Campaign, CampaignRunner
+    from repro.campaign.runner import default_runner_id
+    from repro.telemetry import Telemetry
+
+    spec = None
+    if (Path(args.directory) / SPEC_FILENAME).exists():
+        if args.spec is not None:
+            spec = _campaign_spec_from_args(args)  # mismatch is an error
+        else:
+            print("resuming existing campaign (grid flags ignored; spec.json rules)")
+    else:
+        spec = _campaign_spec_from_args(args)
+    campaign = Campaign(args.directory, spec=spec, store=args.store)
+    backend = args.backend or ("mw" if args.async_mode else "serial")
+    runner = CampaignRunner(
+        campaign.spec, campaign.store, backend=backend,
+        mw_transport=args.transport, mw_affinity=args.mw_affinity,
+        telemetry=Telemetry.from_env(campaign.directory,
+                                     runner=default_runner_id()),
+        **_loop_options(args),
+    )
+    banner = [
+        f"campaign  : {campaign.spec.name}",
+        f"directory : {campaign.directory}",
+        f"backend   : {backend}" + (" (async)" if args.async_mode else ""),
+    ]
+    return runner, banner, "report    : {report}"
 
 
 def _parse_name_value(pairs, flag, cast):
@@ -280,82 +238,111 @@ def _parse_name_value(pairs, flag, cast):
     return out
 
 
-@_restores_telemetry_env
-def _cmd_campaign_serve(args: argparse.Namespace) -> int:
-    import json
+def _campaign_master(args: argparse.Namespace):
+    """``campaign serve``: one tenant per directory under the tenant-policy
+    flags.  Returns the loop, its banner and its report row."""
+    from repro.campaign import MultiCampaignMaster
+
+    worker_caps = {}
+    for pair in args.worker_caps or []:
+        rank, sep, caps = pair.partition("=")
+        if not sep or not rank.isdigit():
+            raise ValueError(f"--worker-caps expects RANK=cap1,cap2, got {pair!r}")
+        worker_caps[int(rank)] = [c for c in caps.split(",") if c.strip()]
+    master = MultiCampaignMaster(
+        args.directories,
+        transport=args.transport,
+        weights=_parse_name_value(args.weight, "--weight", float),
+        quotas=_parse_name_value(args.quota, "--quota", int),
+        worker_caps=worker_caps,
+        **_loop_options(args),
+    )
+    banner = [f"serving {len(master.tenants)} campaign(s) on {args.transport}: "
+              f"{', '.join(sorted(master.tenants))}"]
+    return master, banner, "{name:<20} : {report}"
+
+
+def _cmd_campaign_drain(args: argparse.Namespace) -> int:
+    """``campaign run`` and ``campaign serve``: build the dispatch loop,
+    drain it, print one report row per campaign."""
     import os
 
-    from repro.campaign import DEFAULT_LEASE_TTL, MultiCampaignMaster, serve_status
     from repro.telemetry import TELEMETRY_ENV
 
-    if args.status:
-        try:
-            rows = serve_status(args.directories)
-        except (FileNotFoundError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        for row in rows:
-            if args.json:
-                print(json.dumps(row), flush=True)
-            else:
-                cons = ",".join(row["constraints"]) or "-"
-                quota = row["max_inflight"] if row["max_inflight"] else "-"
-                print(f"{row['name']:<20} {row['done']:>6}/{row['n_jobs']:<6} "
-                      f"done  {row['pending']:>5} pending  "
-                      f"w={row['weight']:g} prio={row['priority']} "
-                      f"caps={cons} quota={quota}")
-        return 0
+    # --telemetry goes through the environment so mw worker subprocesses
+    # inherit it; an in-process caller of main() gets the old value back.
+    saved_env = os.environ.get(TELEMETRY_ENV)
     if args.telemetry:
-        # Through the environment so mw worker subprocesses inherit it.
         os.environ[TELEMETRY_ENV] = "1"
+    progress = None
+    if args.progress:
+        def progress(snap):
+            print(snap.line(), flush=True)
+
+    # Parsed by scripts and tests (ephemeral tcp ports), so the bound
+    # address line is printed as soon as the transport is listening.
+    def on_start(driver):
+        address = getattr(driver.transport, "address", None)
+        if address:
+            print(f"listening at {address}", flush=True)
+
+    # Bad options (--batch-size 0, --async with --backend serial, a typo'd
+    # --transport, non-JSON mw options) raise ValueError before any claim.
     try:
-        weights = _parse_name_value(args.weight, "--weight", float)
-        quotas = _parse_name_value(args.quota, "--quota", int)
-        worker_caps = {}
-        for pair in args.worker_caps or []:
-            rank, sep, caps = pair.partition("=")
-            if not sep or not rank.isdigit():
-                raise ValueError(
-                    f"--worker-caps expects RANK=cap1,cap2, got {pair!r}"
-                )
-            worker_caps[int(rank)] = [c for c in caps.split(",") if c.strip()]
-        master = MultiCampaignMaster(
-            args.directories,
-            transport=args.transport,
-            max_workers=args.max_workers,
-            weights=weights,
-            quotas=quotas,
-            worker_caps=worker_caps,
-            batch_size=args.batch_size,
-            lease_ttl=(DEFAULT_LEASE_TTL if args.lease_ttl is None
-                       else args.lease_ttl),
-            mw_max_retries=args.mw_max_retries,
-        )
+        build = _campaign_master if args.campaign_command == "serve" else _campaign_runner
+        loop, banner, row = build(args)
+        for line in banner:
+            print(line, flush=True)
+        try:
+            reports = loop.serve(timeout=args.timeout, on_start=on_start,
+                                 max_jobs=args.max_jobs, progress=progress)
+        except KeyboardInterrupt:
+            reports = {name: t.report(interrupted=True)
+                       for name, t in loop.tenants.items()}
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"serving {len(master.tenants)} campaign(s) on {args.transport}: "
-          f"{', '.join(sorted(master.tenants))}", flush=True)
-    interrupted = False
-    try:
-        # Parsed by scripts and tests (ephemeral tcp ports), so the bound
-        # address line is printed as soon as the transport is listening.
-        def on_start(driver):
-            address = getattr(driver.transport, "address", None)
-            if address:
-                print(f"listening at {address}", flush=True)
-
-        reports = master.serve(timeout=args.timeout, on_start=on_start)
     except TimeoutError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except KeyboardInterrupt:
-        interrupted = True
-        reports = {name: t.report(interrupted=True)
-                   for name, t in master.tenants.items()}
+    finally:
+        if saved_env is None:
+            os.environ.pop(TELEMETRY_ENV, None)
+        else:
+            os.environ[TELEMETRY_ENV] = saved_env
     for name in sorted(reports):
-        print(f"{name:<20} : {reports[name]}")
-    return 130 if interrupted else 0
+        print(row.format(name=name, report=reports[name]))
+    if any(r.interrupted or r.n_remaining > 0 for r in reports.values()):
+        print("resume    : re-run the same command to finish the remaining jobs")
+    return 130 if any(r.interrupted for r in reports.values()) else 0
+
+
+def _cmd_campaign_serve(args: argparse.Namespace) -> int:
+    import json
+
+    from repro.campaign import serve_status
+
+    if not args.status:
+        if args.json:
+            print("error: --json only applies with --status", file=sys.stderr)
+            return 2
+        return _cmd_campaign_drain(args)
+    try:
+        rows = serve_status(args.directories)
+    except (FileNotFoundError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    for row in rows:
+        if args.json:
+            print(json.dumps(row), flush=True)
+        else:
+            cons = ",".join(row["constraints"]) or "-"
+            quota = row["max_inflight"] if row["max_inflight"] else "-"
+            print(f"{row['name']:<20} {row['done']:>6}/{row['n_jobs']:<6} "
+                  f"done  {row['pending']:>5} pending  "
+                  f"w={row['weight']:g} prio={row['priority']} "
+                  f"caps={cons} quota={quota}")
+    return 0
 
 
 def _cmd_campaign_watch(args: argparse.Namespace) -> int:
@@ -643,6 +630,59 @@ def _cmd_campaign_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_dispatch_loop_options(parser: argparse.ArgumentParser) -> None:
+    """The settings of the one claim → dispatch → record loop, the same
+    group under ``campaign run`` and ``campaign serve`` (only serve's
+    ``--batch-size`` default differs)."""
+    loop = parser.add_argument_group(
+        "dispatch loop", "shared by 'campaign run' and 'campaign serve'"
+    )
+    loop.add_argument("--transport", "--mw-transport", dest="transport",
+                      default="process", metavar="TRANSPORT",
+                      help="inproc | threaded | process, or tcp://host:port "
+                           "to listen for remote 'mw-worker' processes")
+    loop.add_argument("--max-workers", type=int, default=None,
+                      help="worker rank slots (default: CPU count)")
+    loop.add_argument("--batch-size", type=int, default=None,
+                      help="jobs per claim, per campaign (async: jobs kept "
+                           "open); run default: 1 serial, else the worker "
+                           "count; serve default: 8")
+    loop.add_argument("--lease-ttl", type=float, default=None,
+                      metavar="SECONDS",
+                      help="seconds a claim survives without renewal "
+                           "(default 60)")
+    loop.add_argument("--mw-max-retries", type=int, default=2,
+                      help="dispatch retries before a task is failed")
+    loop.add_argument("--timeout", type=float, default=None,
+                      metavar="SECONDS",
+                      help="bound the whole run in wall-clock seconds")
+    loop.add_argument("--telemetry", action="store_true",
+                      help="record metrics and a job-lifecycle trace into "
+                           "<dir>/telemetry.jsonl (same as $REPRO_TELEMETRY=1; "
+                           "read back with 'campaign metrics')")
+    loop.add_argument("--async", dest="async_mode", action="store_true",
+                      help="barrier-free scheduling: every open job's ask/tell "
+                           "proposals share the worker pool (run: implies "
+                           "--backend mw; serve: shared by open jobs, not by "
+                           "weight; see docs/CAMPAIGNS.md)")
+    loop.add_argument("--max-inflight", type=int, default=None, metavar="N",
+                      help="async mode: cap on simultaneously outstanding "
+                           "evaluations across all jobs (default 2x workers, "
+                           "or 2x --eval-batch if larger)")
+    loop.add_argument("--eval-batch", type=int, default=1, metavar="Q",
+                      help="async mode: same-objective proposals per mw "
+                           "frame, evaluated in one vectorized call (default 1)")
+    loop.add_argument("--flush-interval", type=float, default=2.0, metavar="S",
+                      help="async mode: max seconds a finished job's record "
+                           "waits for a flush (default 2.0)")
+    loop.add_argument("--max-jobs", type=int, default=None,
+                      help="stop after this many jobs per campaign (smoke "
+                           "tests / partial runs)")
+    loop.add_argument("--progress", action="store_true",
+                      help="print a heartbeat line per campaign after every "
+                           "record flush")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-opt",
@@ -740,39 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="serial runs jobs inline; mw dispatches them "
                              "through the master-worker driver (default: "
                              "serial, or mw with --async)")
-    p_crun.add_argument("--async", dest="async_mode", action="store_true",
-                        help="barrier-free mw scheduling: every job's ask/tell "
-                             "proposals share the worker pool, replies are "
-                             "told back in arrival order, and a straggler "
-                             "worker delays one evaluation instead of an "
-                             "iteration (implies --backend mw; see "
-                             "docs/CAMPAIGNS.md)")
-    p_crun.add_argument("--max-inflight", type=int, default=None, metavar="N",
-                        help="async mode: cap on simultaneously outstanding "
-                             "evaluations across all jobs (default 2x workers, "
-                             "or 2x --eval-batch if larger)")
-    p_crun.add_argument("--eval-batch", type=int, default=1, metavar="Q",
-                        help="async mode: proposals per mw frame; same-objective "
-                             "proposals ride one frame and the worker evaluates "
-                             "them in a single vectorized call, amortizing "
-                             "codec/transport overhead on cheap objectives "
-                             "(default 1: one task per proposal)")
-    p_crun.add_argument("--flush-interval", type=float, default=2.0, metavar="S",
-                        help="async mode: max seconds a finished job's record "
-                             "may wait in the coalescing buffer before a "
-                             "record_many flush (default 2.0)")
-    p_crun.add_argument("--max-workers", type=int, default=None)
-    p_crun.add_argument("--batch-size", type=int, default=None,
-                        help="jobs per claim: serial records each claimed "
-                             "batch with one store write, mw keeps this many "
-                             "claimed jobs queued (async: open)")
-    p_crun.add_argument("--max-jobs", type=int, default=None,
-                        help="stop after this many jobs (smoke tests / partial runs)")
-    p_crun.add_argument("--transport", "--mw-transport", dest="mw_transport",
-                        default="process", metavar="TRANSPORT",
-                        help="what mw workers run on (mw backend only): "
-                             "inproc | threaded | process, or tcp://host:port "
-                             "to listen for remote 'mw-worker' processes")
     p_crun.add_argument("--mw-affinity", action="store_true",
                         help="pin jobs round-robin to mw worker ranks")
     p_crun.add_argument("--store", default=None, metavar="ENGINE",
@@ -783,18 +790,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "process — no shared filesystem needed); "
                              "existing stores auto-detect from "
                              "store-manifest.json")
-    p_crun.add_argument("--lease-ttl", type=float, default=None,
-                        metavar="SECONDS",
-                        help="seconds a claim survives without renewal — how "
-                             "long a killed runner's jobs stay unavailable "
-                             "(default 60)")
-    p_crun.add_argument("--progress", action="store_true",
-                        help="print a heartbeat line after every record flush")
-    p_crun.add_argument("--telemetry", action="store_true",
-                        help="record metrics and a job-lifecycle trace into "
-                             "<dir>/telemetry.jsonl (same as $REPRO_TELEMETRY=1; "
-                             "read back with 'campaign metrics')")
-    p_crun.set_defaults(func=_cmd_campaign_run)
+    _add_dispatch_loop_options(p_crun)
+    p_crun.set_defaults(func=_cmd_campaign_drain)
 
     p_cmulti = camp_sub.add_parser(
         "serve",
@@ -804,12 +801,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmulti.add_argument("directories", nargs="+", metavar="DIRECTORY",
                           help="campaign directories (each spec.json names "
                                "one tenant; names must be unique)")
-    p_cmulti.add_argument("--transport", default="process", metavar="TRANSPORT",
-                          help="shared fleet transport: inproc | threaded | "
-                               "process, or tcp://host:port to listen for "
-                               "remote 'mw-worker [--caps ...]' processes")
-    p_cmulti.add_argument("--max-workers", type=int, default=None,
-                          help="worker rank slots (default: CPU count)")
     p_cmulti.add_argument("--weight", action="append", metavar="NAME=W",
                           help="override a tenant's dispatch-slot weight "
                                "(repeatable; default: the spec's weight)")
@@ -823,29 +814,13 @@ def build_parser() -> argparse.ArgumentParser:
                                "transports, e.g. --worker-caps 1=md,fast "
                                "(repeatable; tcp workers declare their own "
                                "via 'mw-worker --caps')")
-    p_cmulti.add_argument("--batch-size", type=int, default=8,
-                          help="jobs claimed per top-up per tenant (lease "
-                               "granularity; default 8)")
-    p_cmulti.add_argument("--lease-ttl", type=float, default=None,
-                          metavar="SECONDS",
-                          help="seconds a claim survives without renewal "
-                               "(default 60)")
-    p_cmulti.add_argument("--mw-max-retries", type=int, default=2,
-                          help="dispatch retries before a task is failed")
-    p_cmulti.add_argument("--timeout", type=float, default=None,
-                          metavar="SECONDS",
-                          help="bound the whole serve in wall-clock seconds "
-                               "(on tcp the master otherwise waits for "
-                               "capable workers indefinitely)")
-    p_cmulti.add_argument("--telemetry", action="store_true",
-                          help="record repro_sched_* metrics and the job "
-                               "trace (same as $REPRO_TELEMETRY=1)")
     p_cmulti.add_argument("--status", action="store_true",
                           help="print one status row per tenant (progress + "
                                "scheduling policy) and exit without serving")
     p_cmulti.add_argument("--json", action="store_true",
                           help="with --status: one JSON object per line")
-    p_cmulti.set_defaults(func=_cmd_campaign_serve)
+    _add_dispatch_loop_options(p_cmulti)
+    p_cmulti.set_defaults(func=_cmd_campaign_serve, batch_size=8)
 
     p_cstat = camp_sub.add_parser("status", help="job counts and per-cell progress")
     p_cstat.add_argument("directory")

@@ -17,8 +17,9 @@ The loop is three beats, repeated until every source is finalized:
     sources and submit what they return to the mw driver.  The first pass
     takes only the round proposals each source's step is waiting on
     (:attr:`EvalSource.opt`'s ``n_unasked``); only the budget every open
-    job's round leaves goes, in a second pass, to speculative refinements.
-    Required work is never queued behind speculation.
+    job's round leaves goes, in a second pass, to speculative refinements
+    of the sources whose pool can mint them.  Required work is never
+    queued behind speculation.
 ``pump``
     One :meth:`~repro.mw.driver.MWDriver.pump` beat — poll worker events,
     dispatch queued tasks, drain available replies.  Lost workers are
@@ -223,9 +224,10 @@ class AsyncEvalDriver:
         (``ask(min(budget, n_unasked))``, which never mints a refinement).
         Only if budget is left after every open job's round does a second
         pass, again in ``live`` order, ask with the whole remainder, so
-        refinements fill purely idle capacity.  Where no refinement can be
-        minted (DET, non-concurrent pools) the second pass returns nothing
-        and the proposals and their order are those of one plain pass.
+        refinements fill purely idle capacity.  The second pass skips
+        sources whose pool is not concurrent (DET): they never mint a
+        refinement, and pass 1 already took their round, so asking them
+        again could only return nothing.
 
         With ``eval_batch > 1``, proposals accumulate in per-``batch_key``
         buckets that ship as one frame when full; whatever remains after
@@ -250,8 +252,11 @@ class AsyncEvalDriver:
         for src in live:
             if budget <= 0:
                 break
-            if src.failed_error is None and not src.opt.finished:
-                budget -= self._place(src, src.opt.ask(budget), buckets)
+            opt = src.opt
+            # only a concurrent pool mints refinements (DET's never does)
+            if (src.failed_error is None and not opt.finished
+                    and getattr(getattr(opt, "pool", None), "concurrent", True)):
+                budget -= self._place(src, opt.ask(budget), buckets)
         for items in buckets.values():
             self._submit(items)
 

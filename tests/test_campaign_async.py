@@ -382,6 +382,48 @@ class TestRoundWorkFirst:
         assert len(outcomes) == len(jobs)
         assert all(error is None for _, error in outcomes.values())
 
+    @pytest.mark.parametrize("eval_batch", [1, 4])
+    def test_det_sources_are_asked_for_round_work_only(self, monkeypatch, eval_batch):
+        """DET's pool is not concurrent, so it never mints a refinement:
+        with budget to spare, the driver asks each DET source only for
+        round proposals it has not handed out yet, never ``ask(budget)``
+        beyond them."""
+        from repro.core.base import SimplexOptimizer
+
+        jobs = async_spec(n_seeds=4, algorithms=["DET"]).expand()
+        jobs_by_key = {job.job_id: job for job in jobs}
+        sources = [
+            EvalSource(key=job.job_id, opt=build_job_optimizer(job),
+                       make_work=(lambda j: lambda p: proposal_work(j, p))(job),
+                       batch_key=f"{job.function}:{job.dim}")
+            for job in jobs
+        ]
+        beyond_round = []
+        ask = SimplexOptimizer.ask
+
+        def spying_ask(opt, max_proposals=None):
+            k = opt.n_unasked
+            if max_proposals is None or not 0 < max_proposals <= k:
+                beyond_round.append((k, max_proposals))
+            return ask(opt, max_proposals)
+
+        monkeypatch.setattr(SimplexOptimizer, "ask", spying_ask)
+        outcomes = {}
+        driver = MWDriver(mw_eval_executor, n_workers=2, backend="inproc")
+        try:
+            # far more budget than four d=2 rounds take: a second pass
+            # would have something left to hand out on every beat
+            AsyncEvalDriver(
+                driver, max_inflight=64, eval_batch=eval_batch,
+                make_batch_work=lambda items: batch_proposal_work(
+                    [(jobs_by_key[src.key], p) for src, p in items]),
+            ).run(sources, lambda s, r, e: outcomes.__setitem__(s.key, (r, e)))
+        finally:
+            driver.shutdown()
+        assert len(outcomes) == len(jobs)
+        assert all(error is None for _, error in outcomes.values())
+        assert not beyond_round, f"asks beyond the round: {beyond_round[:3]}"
+
 
 class TestBatchedEvaluation:
     """--eval-batch q: frames of q proposals, chaos and stores preserved."""
