@@ -315,7 +315,6 @@ class _DispatchLoop:
         for name, tenant in self.tenants.items():
             tenant.n_skipped = sum(1 for job in tenant.jobs
                                    if job.job_id in completed[name])
-        budget = None if max_jobs is None else max(0, int(max_jobs))
         saved_run_env = os.environ.get(RUN_ID_ENV)
         if self.telemetry.enabled:
             # Executing processes (mw workers spawn after this point) stamp
@@ -335,10 +334,8 @@ class _DispatchLoop:
                     "repro_runner_passes_total",
                     "Claim-and-execute passes over the grid.",
                 ).inc()
-                n_recorded = self._pass(budget, completed)
+                n_recorded = self._pass(max_jobs, completed)
                 completed = None
-                if budget is not None:
-                    budget -= n_recorded
                 if not n_recorded:
                     # Whatever is left is done, failed here, or validly
                     # leased to a live peer; another pass would spin.
@@ -392,9 +389,10 @@ class _DispatchLoop:
                                  max_inflight=tenant.max_inflight)
         return scheduler
 
-    def _pass(self, budget: Optional[int],
+    def _pass(self, max_jobs: Optional[int],
               completed: Optional[Dict[str, Set[str]]] = None) -> int:
         """One claim → dispatch → record pass; returns the jobs it recorded.
+        ``max_jobs`` bounds the jobs each tenant records in the whole run.
         ``completed`` holds each tenant's completed ids when they were
         just read; else the pass reads them."""
         for name, tenant in self.tenants.items():
@@ -403,7 +401,8 @@ class _DispatchLoop:
                     else tenant.store.completed_ids())
             pending = [job for job in tenant.jobs
                        if job.job_id not in done and job.job_id not in tenant.executed]
-            tenant.backlog = deque(pending if budget is None else pending[:budget])
+            cap = None if max_jobs is None else max(0, int(max_jobs) - len(tenant.executed))
+            tenant.backlog = deque(pending[:cap])
         if not any(tenant.backlog for tenant in self.tenants.values()):
             return 0
         self._start_driver()
@@ -928,6 +927,20 @@ class Campaign:
 
     # -- execution --------------------------------------------------------
 
+    def runner(self, runner_id: Optional[str] = None,
+               telemetry: Optional[Telemetry] = None,
+               **options) -> CampaignRunner:
+        """A :class:`CampaignRunner` over this directory; ``options`` as
+        for it.  ``telemetry`` defaults to :meth:`Telemetry.from_env`
+        anchored here, so ``$REPRO_TELEMETRY`` (or ``--telemetry``) appends
+        the run's trace to ``<dir>/telemetry.jsonl`` with no more wiring."""
+        if telemetry is None:
+            telemetry = Telemetry.from_env(
+                self.directory, runner=runner_id or default_runner_id()
+            )
+        return CampaignRunner(self.spec, self.store, runner_id=runner_id,
+                              telemetry=telemetry, **options)
+
     def run(
         self,
         backend: str = "serial",
@@ -946,19 +959,9 @@ class Campaign:
         progress: Optional[ProgressCallback] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> CampaignReport:
-        """Run (or resume) the pending jobs; see :class:`CampaignRunner`.
-
-        ``telemetry`` defaults to :meth:`Telemetry.from_env` anchored at
-        the campaign directory, so setting ``$REPRO_TELEMETRY`` (or the
-        CLI's ``--telemetry``) makes the run append its event trace to
-        ``<dir>/telemetry.jsonl`` with no further wiring.
-        """
-        if telemetry is None:
-            telemetry = Telemetry.from_env(
-                self.directory, runner=runner_id or default_runner_id()
-            )
-        runner = CampaignRunner(
-            self.spec, self.store, backend=backend, max_workers=max_workers,
+        """Run (or resume) the pending jobs through :meth:`runner`."""
+        runner = self.runner(
+            backend=backend, max_workers=max_workers,
             batch_size=batch_size, mw_transport=mw_transport,
             mw_affinity=mw_affinity, mw_max_retries=mw_max_retries,
             async_mode=async_mode, max_inflight=max_inflight,

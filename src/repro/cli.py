@@ -198,9 +198,7 @@ def _campaign_runner(args: argparse.Namespace):
     one-tenant loop.  Returns the loop, its banner and its report row."""
     from pathlib import Path
 
-    from repro.campaign import SPEC_FILENAME, Campaign, CampaignRunner
-    from repro.campaign.runner import default_runner_id
-    from repro.telemetry import Telemetry
+    from repro.campaign import SPEC_FILENAME, Campaign
 
     spec = None
     if (Path(args.directory) / SPEC_FILENAME).exists():
@@ -212,13 +210,8 @@ def _campaign_runner(args: argparse.Namespace):
         spec = _campaign_spec_from_args(args)
     campaign = Campaign(args.directory, spec=spec, store=args.store)
     backend = args.backend or ("mw" if args.async_mode else "serial")
-    runner = CampaignRunner(
-        campaign.spec, campaign.store, backend=backend,
-        mw_transport=args.transport, mw_affinity=args.mw_affinity,
-        telemetry=Telemetry.from_env(campaign.directory,
-                                     runner=default_runner_id()),
-        **_loop_options(args),
-    )
+    runner = campaign.runner(backend=backend, mw_transport=args.transport,
+                             mw_affinity=args.mw_affinity, **_loop_options(args))
     banner = [
         f"campaign  : {campaign.spec.name}",
         f"directory : {campaign.directory}",
@@ -269,11 +262,6 @@ def _cmd_campaign_drain(args: argparse.Namespace) -> int:
 
     from repro.telemetry import TELEMETRY_ENV
 
-    # --telemetry goes through the environment so mw worker subprocesses
-    # inherit it; an in-process caller of main() gets the old value back.
-    saved_env = os.environ.get(TELEMETRY_ENV)
-    if args.telemetry:
-        os.environ[TELEMETRY_ENV] = "1"
     progress = None
     if args.progress:
         def progress(snap):
@@ -286,25 +274,32 @@ def _cmd_campaign_drain(args: argparse.Namespace) -> int:
         if address:
             print(f"listening at {address}", flush=True)
 
-    # Bad options (--batch-size 0, --async with --backend serial, a typo'd
-    # --transport, non-JSON mw options) raise ValueError before any claim.
+    # --telemetry goes through the environment so mw worker subprocesses
+    # inherit it; an in-process caller of main() gets the old value back.
+    saved_env = os.environ.get(TELEMETRY_ENV)
+    if args.telemetry:
+        os.environ[TELEMETRY_ENV] = "1"
     try:
+        # Bad options (--batch-size 0, --async with --backend serial, a
+        # typo'd --transport, a policy serve --async would ignore) raise
+        # ValueError here, before any claim.
         build = _campaign_master if args.campaign_command == "serve" else _campaign_runner
-        loop, banner, row = build(args)
+        try:
+            loop, banner, row = build(args)
+        except (FileNotFoundError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         for line in banner:
             print(line, flush=True)
         try:
             reports = loop.serve(timeout=args.timeout, on_start=on_start,
                                  max_jobs=args.max_jobs, progress=progress)
+        except TimeoutError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         except KeyboardInterrupt:
             reports = {name: t.report(interrupted=True)
                        for name, t in loop.tenants.items()}
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TimeoutError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     finally:
         if saved_env is None:
             os.environ.pop(TELEMETRY_ENV, None)
@@ -327,6 +322,16 @@ def _cmd_campaign_serve(args: argparse.Namespace) -> int:
             print("error: --json only applies with --status", file=sys.stderr)
             return 2
         return _cmd_campaign_drain(args)
+    # --status starts no master: refuse any other serve option, not ignore it
+    defaults = vars(build_parser().parse_args(
+        ["campaign", "serve", "--status", "--", *args.directories]))
+    ignored = ["--async" if key == "async_mode" else "--" + key.replace("_", "-")
+               for key, value in vars(args).items()
+               if key != "json" and value != defaults[key]]
+    if ignored:
+        print(f"error: --status starts no master; drop {', '.join(ignored)}",
+              file=sys.stderr)
+        return 2
     try:
         rows = serve_status(args.directories)
     except (FileNotFoundError, ValueError) as exc:

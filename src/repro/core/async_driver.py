@@ -64,7 +64,8 @@ class EvalSource:
         ``n_unasked`` is the read-only count of the current round's
         proposals that ``ask`` has not handed out yet, 0 once finished.
         The driver asks every source for those before it lets any source
-        mint refinements.
+        mint refinements, and asks for refinements only where
+        ``opt.pool.concurrent`` holds (no other pool mints one).
     make_work:
         Maps a :class:`~repro.core.base.Proposal` to the wire payload for the
         mw task (normally :func:`~repro.campaign.execution.proposal_work`).
@@ -253,9 +254,7 @@ class AsyncEvalDriver:
             if budget <= 0:
                 break
             opt = src.opt
-            # only a concurrent pool mints refinements (DET's never does)
-            if (src.failed_error is None and not opt.finished
-                    and getattr(getattr(opt, "pool", None), "concurrent", True)):
+            if src.failed_error is None and not opt.finished and opt.pool.concurrent:
                 budget -= self._place(src, opt.ask(budget), buckets)
         for items in buckets.values():
             self._submit(items)

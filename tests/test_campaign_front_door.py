@@ -129,10 +129,12 @@ def test_serve_json_without_status_is_an_error(tmp_path, capsys):
 
 def test_serve_takes_max_jobs_and_progress_per_campaign(tmp_path, capsys):
     """The options that were ``run``-only now mean the same under serve:
-    ``--max-jobs`` caps each tenant, ``--progress`` beats per tenant."""
+    ``--max-jobs`` caps each tenant, ``--progress`` beats per tenant.
+    Three jobs a tenant leave work for a second pass, which must not take
+    more of it."""
     dirs = [tmp_path / "alpha", tmp_path / "beta"]
-    Campaign(dirs[0], spec=det_spec("alpha", ["sphere"], [0, 1]))
-    Campaign(dirs[1], spec=det_spec("beta", ["quadratic"], [0, 1]))
+    Campaign(dirs[0], spec=det_spec("alpha", ["sphere"], [0, 1, 2]))
+    Campaign(dirs[1], spec=det_spec("beta", ["quadratic"], [0, 1, 2]))
     rc = main(["campaign", "serve", *map(str, dirs), "--transport", "inproc",
                "--max-workers", "1", "--max-jobs", "1", "--progress"])
     out = capsys.readouterr().out
@@ -154,3 +156,38 @@ def test_run_takes_timeout_and_mw_max_retries(tmp_path, capsys):
                "--timeout", "120", "--mw-max-retries", "0"])
     out = capsys.readouterr().out
     assert rc == 0 and "backend   : mw" in out and "1 completed" in out
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--async"], ["--async"]),
+    (["--max-jobs", "1", "--timeout", "5"], ["--max-jobs", "--timeout"]),
+    (["--weight", "camp=2"], ["--weight"]),
+])
+def test_serve_status_refuses_options_it_would_ignore(tmp_path, capsys, flags,
+                                                      named):
+    """``--status`` starts no master, so a loop or policy option is an
+    error rather than a silent no-op; ``--json`` still applies."""
+    directory = tmp_path / "camp"
+    Campaign(directory, spec=det_spec("camp", ["sphere"], [0]))
+    rc = main(["campaign", "serve", str(directory), "--status", *flags])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "error:" in captured.err
+    assert all(flag in captured.err for flag in named)
+    assert main(["campaign", "serve", str(directory), "--status", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["name"] == "camp"
+
+
+def test_a_value_error_mid_drain_is_not_a_bad_option(tmp_path, monkeypatch):
+    """Only building the loop maps ``ValueError`` to exit 2; one raised
+    while draining is a fault of the run and propagates."""
+    from repro.campaign.runner import _DispatchLoop
+
+    def broken_pass(self, cap, completed=None):
+        raise ValueError("mid-drain fault")
+
+    monkeypatch.setattr(_DispatchLoop, "_pass", broken_pass)
+    directory = tmp_path / "camp"
+    Campaign(directory, spec=det_spec("camp", ["sphere"], [0]))
+    with pytest.raises(ValueError, match="mid-drain fault"):
+        main(["campaign", "serve", str(directory), "--transport", "inproc"])
